@@ -2,7 +2,7 @@
 """LinBP/SBP benchmark: builds the repository in Release, runs one workload
 in its own process(es), and prints one JSON result line.
 
-    python3 perfbench/run.py --workload batch-rmat13 --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload batch-rmat13 --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --self-check
 
 Run from the root of a checkout. The build goes to $CARGO_TARGET_DIR (or
@@ -67,8 +67,35 @@ def run_json(cmd, timeout):
     return json.loads(lines[-1])
 
 
+def check_metrics(result, trace):
+    """The result must carry exactly the metrics BENCHMARK.json lists for
+    this kind of run, in their units; an end-to-end value must be > 0."""
+    with open("BENCHMARK.json") as manifest:
+        listed = json.load(manifest)["per_layer" if trace else "end_to_end"]
+    wanted = {metric["name"]: metric["unit"] for metric in listed}
+    got = {name: metric["unit"] for name, metric in result["metrics"].items()}
+    if got != wanted:
+        raise RuntimeError(
+            f"metrics differ from BENCHMARK.json: missing "
+            f"{sorted(set(wanted) - set(got))}, extra "
+            f"{sorted(set(got) - set(wanted))}, units "
+            f"{sorted(n for n in got if n in wanted and got[n] != wanted[n])}")
+    if not trace:
+        for name, metric in result["metrics"].items():
+            if not metric["value"] > 0:
+                raise RuntimeError(f"{name} = {metric['value']}")
+
+
 def run_workload(binary, workload, seed, seconds, trace, size, work,
                  perturb=False):
+    result = run_processes(binary, workload, seed, seconds, trace, size, work,
+                           perturb)
+    check_metrics(result, trace)
+    return result
+
+
+def run_processes(binary, workload, seed, seconds, trace, size, work,
+                  perturb):
     kind = WORKLOADS[workload]
     base = ["--seed", str(seed), "--seconds", str(seconds),
             "--trace", "1" if trace else "0", "--size", size]
@@ -135,7 +162,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args()

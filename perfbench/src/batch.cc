@@ -9,12 +9,12 @@
 #include <iostream>
 
 #include "perfbench/src/harness.h"
+#include "perfbench/src/probes.h"
 #include "perfbench/src/workloads.h"
 #include "src/core/convergence.h"
 #include "src/core/linbp.h"
 #include "src/core/sbp.h"
 #include "src/engine/in_memory_backend.h"
-#include "src/obs/metrics.h"
 
 namespace perfbench {
 
@@ -34,9 +34,9 @@ constexpr double kResidualBound = 1e-10;
 constexpr double kF1Floor = 0.4;
 constexpr double kFlipBound = 0.005;
 constexpr int kSbpBatch = 40;
-// A set-up takes well under a second, so it is cheap to repeat it often
-// enough for a steady median.
-constexpr int kSetups = 7;
+// A set-up takes about 0.08 s; one every kSetupEvery rounds gives about
+// 17 per run.
+constexpr int kSetupEvery = 4;
 constexpr int kMinRounds = 3;
 constexpr int kTracedRounds = 5;
 
@@ -51,18 +51,21 @@ int RunBatch(const Args& args) {
   Metrics metrics;
   std::string error;
 
-  // Set-up: scenario generation, kSetups times; the last one is used.
+  // Set-up: scenario generation. It runs once here and again every
+  // kSetupEvery rounds, so its median samples the whole run.
   std::vector<double> setup;
   std::optional<linbp::dataset::Scenario> scenario;
-  for (int i = 0; i < kSetups; ++i) {
+  auto set_up = [&]() {
     const double start = Now();
     scenario = MakeWorkloadScenario(spec, args.seed, ctx, &error);
     setup.push_back(Now() - start);
     if (!ledger.Op(scenario.has_value())) {
       std::cerr << "batch: " << error << '\n';
-      return 1;
+      return false;
     }
-  }
+    return true;
+  };
+  if (!set_up()) return 1;
   const Graph& graph = scenario->graph;
   const std::int64_t n = graph.num_nodes();
   const linbp::CouplingMatrix coupling = scenario->Coupling();
@@ -85,6 +88,9 @@ int RunBatch(const Args& args) {
   linbp::SbpResult sbp_result;
   for (int round = 0;
        round < kMinRounds || Now() - measure_start < args.seconds; ++round) {
+    // Regenerates the same scenario in place; `graph` and `e` stay valid
+    // references into it.
+    if (round % kSetupEvery == kSetupEvery - 1 && !set_up()) return 1;
     start = Now();
     threshold = linbp::ExactEpsilonThreshold(graph, coupling,
                                              LinBpVariant::kLinBp,
@@ -112,11 +118,16 @@ int RunBatch(const Args& args) {
     sbp.push_back((Now() - start) / kSbpBatch);
   }
   const double peak_rss = PeakRssMb();
+  std::vector<double> round;
+  for (std::size_t i = 0; i < solve.size(); ++i) {
+    round.push_back(eps_auto[i] + solve[i] + solve_f32[i] + sbp[i]);
+  }
   LogSamples("setup_s", setup);
   LogSamples("eps_auto_s", eps_auto);
   LogSamples("solve_s", solve);
   LogSamples("solve_f32_s", solve_f32);
   LogSamples("sbp_s", sbp);
+  LogSamples("round_s", round);
 
   // Checks, each against a computation made apart from the solver.
   DenseMatrix checked = result64.beliefs;
@@ -153,22 +164,19 @@ int RunBatch(const Args& args) {
 
   if (!args.trace) {
     metrics.Set("setup_s", Median(setup), "s");
-    metrics.Set("eps_auto_s", Median(eps_auto), "s");
-    metrics.Set("solve_s", Median(solve), "s");
-    metrics.Set("solve_f32_s", Median(solve_f32), "s");
-    metrics.Set("sbp_s", Median(sbp), "s");
+    metrics.Set("solve_s", FastDecile(solve), "s");
+    metrics.Set("round_s", FastDecile(round), "s");
     metrics.Set("peak_rss_mb", peak_rss, "MB");
     std::cout << metrics.ResultJson(ledger) << std::endl;
     return 0;
   }
 
   // Traced run: the same calls, wrapped or made directly from here. Each
-  // round runs the solve bare, through the counting wrapper, and with the
-  // obs registry switched off, back to back, so the overheads compare
-  // neighbouring solves.
+  // round runs the solve bare and through the counting wrapper, back to
+  // back, so the overhead compares neighbouring solves.
   const linbp::engine::InMemoryBackend memory(&graph);
   TracingBackend traced(&memory);
-  std::vector<double> product_time, self_time, trace_overhead, registry_cost;
+  std::vector<double> product_time, self_time, trace_overhead;
   std::int64_t solve_products = 0, solve_sweeps = 0;
   for (int i = 0; i < kTracedRounds; ++i) {
     start = Now();
@@ -184,59 +192,43 @@ int RunBatch(const Args& args) {
     trace_overhead.push_back(wall - bare);
     solve_products = traced.products();
     solve_sweeps = r.iterations;
-    linbp::obs::Registry::Global().SetEnabled(false);
-    start = Now();
-    ledger.Op(linbp::RunLinBp(graph, hhat, e, f64).converged);
-    registry_cost.push_back(bare - (Now() - start));
-    linbp::obs::Registry::Global().SetEnabled(true);
   }
+  // One round's products: the bisection, the f64 and the f32 solve (SBP
+  // issues none).
   traced.Reset();
   linbp::ExactEpsilonThreshold(traced, coupling, LinBpVariant::kLinBp,
                                kEpsTolerance, ctx);
-  const std::int64_t eps_products = traced.products();
-
-  // la kernels on the workload matrix, at the solve's operand shapes.
-  const linbp::SparseMatrix& a = graph.adjacency();
-  const DenseMatrixF32 b32 = DenseMatrixF32::FromF64(result64.beliefs);
-  const std::vector<double> x(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> spmm, spmm32, spmv;
-  for (int i = 0; i < 15; ++i) {
-    start = Now();
-    DenseMatrix out = a.MultiplyDense(result64.beliefs, ctx);
-    spmm.push_back(Now() - start);
-    start = Now();
-    DenseMatrixF32 out32 = a.MultiplyDenseF32(b32, ctx);
-    spmm32.push_back(Now() - start);
-    start = Now();
-    std::vector<double> y = a.MultiplyVector(x, ctx);
-    spmv.push_back(Now() - start);
-  }
-  const double nnz = static_cast<double>(a.NumNonZeros());
-  const double k = static_cast<double>(e.cols());
-  // Computed bytes of one SpMM: CSR arrays, one gathered B row per entry,
-  // one written output row per node. Cache hits are not modelled.
-  const double spmm_bytes = nnz * (8.0 + 4.0 + 8.0 * k) +
-                            static_cast<double>(n + 1) * 8.0 +
-                            static_cast<double>(n) * 8.0 * k;
+  const LinBpResult r32 = linbp::RunLinBp(traced, hhat, e, f32);
+  ledger.Op(r32.converged);
+  const std::int64_t round_products = traced.products() + solve_products;
+  const std::int64_t round_sweeps = solve_sweeps + r32.iterations;
 
   const double layer_sum = Median(product_time) + Median(self_time);
   ReportReconcile("solve_s", layer_sum, Median(solve), &metrics);
 
-  metrics.Set("la.spmm_s", Median(spmm), "s");
-  metrics.Set("la.spmm_f32_s", Median(spmm32), "s");
-  metrics.Set("la.spmv_s", Median(spmv), "s");
-  metrics.Set("la.spmm_gbps", spmm_bytes / Median(spmm) / 1e9, "GB/s");
+  const double eps = 0.5 * threshold;
+  const bool toy = args.size == Size::kToy;
+  ProbeKernels(graph, result64.beliefs, ctx, &metrics);
+  ProbeGraph(graph, &metrics);
+  ProbeRegistry(graph, hhat, e, f64, kTracedRounds, &ledger, &metrics);
+  if (!ProbeShardsOf(*scenario, eps, args.dir + "/shards", &ledger,
+                     &metrics) ||
+      !ProbeUpdates(*scenario, args.seed, toy ? 12 : 40, eps, 1, 3, false,
+                    args.dir + "/updates", &ledger, &metrics)) {
+    return 1;
+  }
   metrics.Set("engine.solve_products", static_cast<double>(solve_products),
               "count");
   metrics.Set("engine.product_s", Median(product_time), "s");
-  metrics.Set("engine.eps_products", static_cast<double>(eps_products),
+  metrics.Set("engine.round_products", static_cast<double>(round_products),
               "count");
   metrics.Set("core.solve_sweeps", static_cast<double>(solve_sweeps), "count");
   metrics.Set("core.self_s", Median(self_time), "s");
+  metrics.Set("core.round_sweeps", static_cast<double>(round_sweeps), "count");
+  metrics.Set("core.sbp_s", FastDecile(sbp), "s");
   metrics.Set("core.sbp_levels", static_cast<double>(sbp_result.max_geodesic),
               "count");
   metrics.Set("dataset.scenario_build_s", Median(setup), "s");
-  metrics.Set("obs.registry_overhead_s", Median(registry_cost), "s");
   metrics.Set("obs.trace_overhead_s", Median(trace_overhead), "s");
   std::cout << metrics.ResultJson(ledger) << std::endl;
   return 0;

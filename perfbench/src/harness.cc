@@ -48,6 +48,10 @@ double Percentile(std::vector<double> values, double q) {
   return values[std::min(index, values.size() - 1)];
 }
 
+double FastDecile(const std::vector<double>& values) {
+  return Percentile(values, 0.1);
+}
+
 std::optional<linbp::dataset::Scenario> MakeWorkloadScenario(
     const std::string& spec, std::uint64_t seed,
     const linbp::exec::ExecContext& ctx, std::string* error) {

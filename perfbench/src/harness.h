@@ -53,6 +53,11 @@ std::string Fmt17(double value);
 double Median(std::vector<double> values);
 /// Nearest-rank percentile (q in (0, 1]) of `values`.
 double Percentile(std::vector<double> values, double q);
+/// The fast decile, Percentile(values, 0.1), of repeats of identical work.
+/// Other tenants of the host slow it down in bursts of seconds; the
+/// fastest tenth of the repeats tracks the program rather than the
+/// bursts, where the median moves with them.
+double FastDecile(const std::vector<double>& values);
 
 /// The workload's problem: the graph of `spec` generated with seed 1, so
 /// every run shares one graph and one convergence threshold, with the

@@ -2,7 +2,7 @@
 // `linbp_cli serve`, over in-process streams. One closed-loop client hands
 // the REPL one line at a time: a GenerateUpdateTrace mix of add / delete /
 // reweight / belief lines with `q` queries interleaved. The same trace is
-// then replayed on SbpState.
+// then replayed on SbpState, and SBP runs from scratch on the final graph.
 
 #include <algorithm>
 #include <cmath>
@@ -12,19 +12,17 @@
 #include <random>
 #include <set>
 #include <sstream>
-#include <streambuf>
 
 #include "perfbench/src/harness.h"
+#include "perfbench/src/probes.h"
+#include "perfbench/src/repl.h"
 #include "perfbench/src/workloads.h"
 #include "src/core/convergence.h"
 #include "src/core/linbp.h"
-#include "src/core/linbp_incremental.h"
 #include "src/core/sbp.h"
 #include "src/core/sbp_incremental.h"
 #include "src/dataset/snapshot.h"
 #include "src/dataset/update_stream.h"
-#include "src/engine/in_memory_backend.h"
-#include "tools/cli_lib.h"
 
 namespace perfbench {
 
@@ -34,100 +32,22 @@ using linbp::dataset::UpdateKind;
 using linbp::dataset::UpdateOp;
 namespace fs = std::filesystem;
 
-constexpr std::int64_t kUpdates = 240;  // p95 then has 12 samples beyond it
-constexpr int kQueryEvery = 4;          // one `q` line after every 4 updates
-constexpr int kMinSbpReplays = 20;
-// A set-up takes about 0.2 s, so it is cheap to repeat it often enough
-// for a steady median.
-constexpr int kSetups = 7;
+constexpr std::int64_t kUpdates = 40;  // a session of about 4 s
+constexpr int kQueryEvery = 4;         // one `q` line after every 4 updates
+// Sessions replay the same script from the same start until --seconds
+// has passed, at least this many, so every update has repeats.
+constexpr int kMinSessions = 3;
+// Per round, besides the session: set-ups (about 0.2 s each) and, in the
+// traced run, SBP samples of kSbpBatch calls (about 50 ms each).
+constexpr int kSetupsPerRound = 2;
+constexpr int kSbpPerRound = 6;
+constexpr int kSbpBatch = 40;
 constexpr double kParity = 1e-9;
 // Half the Lemma 8 threshold of the workload graph,
 // sbm:n=10000,k=3,deg=8,seed=1 (0.254476; see README). `serve --eps=auto`
 // would spend seconds bisecting it before every session; the trace's
 // start graph lacks the held-out edges, so its threshold is higher.
 constexpr double kFullEps = 0.127238;
-
-// The REPL's input: hands out the next script line only when RunServe
-// asks for more input, which is after it has written the previous reply.
-// That makes the client closed-loop without a second thread.
-class ScriptInput : public std::streambuf {
- public:
-  explicit ScriptInput(const std::vector<std::string>& lines) : lines_(lines) {}
-  const std::vector<double>& handed() const { return handed_; }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    if (next_ >= lines_.size()) return traits_type::eof();
-    current_ = lines_[next_++] + '\n';
-    handed_.push_back(Now());
-    setg(current_.data(), current_.data(), current_.data() + current_.size());
-    return traits_type::to_int_type(*gptr());
-  }
-
- private:
-  const std::vector<std::string>& lines_;
-  std::size_t next_ = 0;
-  std::string current_;
-  std::vector<double> handed_;
-};
-
-// The REPL's output: unbuffered, so every reply's final newline is
-// time-stamped as it is written.
-class ReplyOutput : public std::streambuf {
- public:
-  const std::vector<double>& written() const { return written_; }
-  const std::vector<std::string>& replies() const { return replies_; }
-
- protected:
-  int_type overflow(int_type c) override {
-    if (traits_type::eq_int_type(c, traits_type::eof())) {
-      return traits_type::not_eof(c);
-    }
-    if (traits_type::to_char_type(c) == '\n') {
-      written_.push_back(Now());
-      replies_.push_back(std::move(partial_));
-      partial_.clear();
-    } else {
-      partial_.push_back(traits_type::to_char_type(c));
-    }
-    return c;
-  }
-
- private:
-  std::string partial_;
-  std::vector<double> written_;
-  std::vector<std::string> replies_;
-};
-
-struct Session {
-  double setup_seconds = 0.0;  // start of set-up to the first reply
-  std::vector<double> handed, written;
-  std::vector<std::string> replies;
-  int exit_code = 0;
-};
-
-// Runs RunServe over `script` (whose first line is the set-up probe).
-Session Serve(const linbp::cli::ServeOptions& options,
-              const std::vector<std::string>& script, double setup_start) {
-  ScriptInput input(script);
-  ReplyOutput output;
-  std::istream in(&input);
-  std::ostream out(&output);
-  Session session;
-  std::string error;
-  session.exit_code = linbp::cli::RunServe(options, in, out, &error);
-  if (session.exit_code != 0) std::cerr << "serve: " << error << '\n';
-  session.handed = input.handed();
-  session.written = output.written();
-  session.replies = output.replies();
-  if (!session.written.empty()) {
-    session.setup_seconds = session.written.front() - setup_start;
-  }
-  return session;
-}
-
-bool IsEdgeOp(const UpdateOp& op) { return op.kind != UpdateKind::kBeliefUpdate; }
 
 // The final problem, built here by applying the trace to the start edges
 // and residuals (not through the program's update code).
@@ -182,7 +102,7 @@ int RunServeWorkload(const Args& args) {
   const std::string spec =
       std::string(args.size == Size::kFull ? "sbm:n=10000" : "sbm:n=500") +
       ",k=3,deg=8";
-  const std::int64_t num_updates = args.size == Size::kFull ? kUpdates : 40;
+  const std::int64_t num_updates = kUpdates;
   const linbp::exec::ExecContext ctx = linbp::exec::ExecContext::WithThreads(1);
   const std::string snapshot = (fs::path(args.dir) / "start.lbps").string();
   Ledger ledger;
@@ -195,30 +115,31 @@ int RunServeWorkload(const Args& args) {
   options.threads = 1;
   double eps = kFullEps;
 
-  // Set-up, kSetups times: scenario, trace generation, start snapshot, and
-  // RunServe until its first reply (a one-line probe session).
-  std::vector<double> setup, trace_gen;
+  // One set-up: scenario, trace generation, start snapshot, and RunServe
+  // until its first reply (a one-line probe session). It runs once here
+  // and kSetupsPerRound more times in every round, so its median samples
+  // the whole run; each one rewrites the same snapshot.
+  std::vector<double> setup, scenario_build;
   std::optional<linbp::dataset::Scenario> scenario;
   linbp::dataset::UpdateTrace trace;
-  for (int i = 0; i < kSetups; ++i) {
+  auto set_up = [&]() {
     const double start = Now();
     scenario = MakeWorkloadScenario(spec, args.seed, ctx, &error);
+    scenario_build.push_back(Now() - start);
     if (!ledger.Op(scenario.has_value())) {
       std::cerr << "serve: " << error << '\n';
-      return 1;
+      return false;
     }
     linbp::dataset::UpdateTraceOptions trace_options;
     trace_options.num_ops = num_updates;
     trace_options.seed = args.seed;
-    const double trace_start = Now();
     trace = linbp::dataset::GenerateUpdateTrace(*scenario, trace_options);
-    trace_gen.push_back(Now() - trace_start);
     linbp::dataset::Scenario start_scenario = *scenario;
     start_scenario.graph = Graph(scenario->graph.num_nodes(), trace.start_edges);
     if (!ledger.Op(linbp::dataset::SaveSnapshot(start_scenario, snapshot,
                                                 &error))) {
       std::cerr << "serve: " << error << '\n';
-      return 1;
+      return false;
     }
     if (args.size == Size::kToy) {
       eps = 0.5 * linbp::ExactEpsilonThreshold(start_scenario.graph,
@@ -227,9 +148,11 @@ int RunServeWorkload(const Args& args) {
     }
     options.eps = Fmt17(eps);
     const Session probe = Serve(options, {"q 0"}, start);
-    if (!ledger.Op(probe.exit_code == 0 && !probe.written.empty())) return 1;
+    if (!ledger.Op(probe.exit_code == 0 && !probe.written.empty())) return false;
     setup.push_back(probe.setup_seconds);
-  }
+    return true;
+  };
+  if (!set_up()) return 1;
 
   // The measured session: the trace with interleaved queries, then labels.
   std::vector<std::string> script(1, "q 0");
@@ -248,77 +171,91 @@ int RunServeWorkload(const Args& args) {
   script.push_back("labels");
   is_update.push_back(false);
 
-  // SBP: the whole trace replayed from a fresh bootstrap, half of the
-  // minimum before the session and the rest after it, so the replays
-  // sample both ends of the run.
   const auto start_state = linbp::dataset::LoadSnapshot(snapshot, &error);
   if (!ledger.Op(start_state.has_value())) {
     std::cerr << "serve: " << error << '\n';
     return 1;
   }
   const DenseMatrix hhat = start_state->Coupling().ScaledResidual(eps);
-  std::vector<double> sbp_replay;
-  std::int64_t recomputed = 0;
-  std::optional<linbp::SbpState> sbp;
-  auto replay = [&] {
-    sbp = linbp::SbpState::FromGraph(start_state->graph, hhat,
-                                     start_state->explicit_residuals,
-                                     start_state->explicit_nodes, ctx);
-    recomputed = 0;
-    bool ok = true;
-    const double start = Now();
-    for (const UpdateOp& op : trace.ops) {
-      ok = linbp::dataset::ApplyUpdateOp(op, &*sbp, &error) >= 0 && ok;
-      recomputed += sbp->last_update_recomputed_nodes();
-    }
-    sbp_replay.push_back(Now() - start);
-    ledger.Op(ok);
-  };
-  const double measure_start = Now();
-  for (int i = 0; i < kMinSbpReplays / 2; ++i) replay();
-  const Session session = Serve(options, script, Now());
-  if (!ledger.Op(session.exit_code == 0 && !session.written.empty())) return 1;
   const std::int64_t n = scenario->graph.num_nodes();
 
-  // Per update: line handed to the REPL -> its reply written.
-  std::vector<double> latency;
-  std::vector<int> sweeps_edge, sweeps_belief;
-  std::int64_t ok_replies = 0, updates = 0, query_ok = 0, queries = 0;
-  for (std::size_t line = 0; line + 1 < script.size(); ++line) {
-    const std::size_t reply = line + 1;  // reply 0 answers the probe
-    if (reply >= session.replies.size()) break;
-    const std::string& text = session.replies[reply];
-    if (is_update[line]) {
-      ++updates;
-      const bool ok = ledger.Op(text.rfind("ok sweeps=", 0) == 0);
-      if (!ok) continue;
-      ++ok_replies;
-      latency.push_back(session.written[reply] - session.handed[line + 1]);
-      const int sweeps = std::atoi(text.c_str() + 10);
-      (IsEdgeOp(trace.ops[updates - 1]) ? sweeps_edge : sweeps_belief)
-          .push_back(sweeps);
-    } else if (script[line + 1] != "labels") {
-      ++queries;
-      query_ok += ledger.Op(text.rfind(script[line + 1].substr(2) + " ", 0) == 0);
-    }
-  }
-  ledger.Check("every update replies ok", ok_replies == num_updates,
-               std::to_string(ok_replies) + " of " +
-                   std::to_string(num_updates));
-  ledger.Check("every query answers its node", query_ok == queries,
-               std::to_string(query_ok) + " of " + std::to_string(queries));
-
-  while (static_cast<int>(sbp_replay.size()) < kMinSbpReplays ||
-         Now() - measure_start < args.seconds) {
-    replay();
-  }
-  const double peak_rss = PeakRssMb();
-
-  // Cold solves of the final problem, built here from the trace.
+  // The final problem, built here from the trace, for sbp_s and the checks.
   const Problem final_problem =
       ApplyTrace(trace.start_edges, start_state->explicit_residuals,
                  start_state->explicit_nodes, trace.ops);
   const Graph final_graph(n, final_problem.edges);
+  // core.sbp_s: RunSbp from scratch on the final graph. One call takes
+  // about a millisecond, so a sample is kSbpBatch calls.
+  std::vector<double> sbp_s;
+  linbp::SbpResult sbp_cold;
+  auto sample_sbp = [&]() {
+    const double start = Now();
+    for (int i = 0; i < kSbpBatch; ++i) {
+      sbp_cold = linbp::RunSbp(final_graph, hhat, final_problem.residuals,
+                               final_problem.explicit_nodes, ctx);
+      ledger.Op(true);
+    }
+    sbp_s.push_back((Now() - start) / kSbpBatch);
+  };
+
+  // Per update: line handed to the REPL -> its reply written, the fastest
+  // over the sessions (each session does the same work).
+  std::vector<double> fastest(static_cast<std::size_t>(num_updates), INFINITY);
+  std::vector<double> session_s, session_update_s;
+  std::int64_t ok_replies = 0, query_ok = 0, queries = 0;
+  Session session;
+  const double measure_start = Now();
+  for (int round = 0;
+       round < kMinSessions || Now() - measure_start < args.seconds; ++round) {
+    for (int i = 0; i < kSetupsPerRound; ++i) {
+      if (!set_up()) return 1;
+    }
+    for (int i = 0; args.trace && i < kSbpPerRound; ++i) sample_sbp();
+    session = Serve(options, script, Now());
+    if (!ledger.Op(session.exit_code == 0 &&
+                   session.replies.size() == script.size() +
+                                                 static_cast<std::size_t>(n) -
+                                                 1)) {
+      std::cerr << "serve: session ended early\n";
+      return 1;
+    }
+    // The whole session: first update handed to the last reply written.
+    session_s.push_back(session.written.back() - session.handed[1]);
+    double update_total = 0.0;
+    std::size_t update = 0;
+    for (std::size_t line = 0; line + 1 < script.size(); ++line) {
+      const std::size_t reply = line + 1;  // reply 0 answers the probe
+      const std::string& text = session.replies[reply];
+      if (is_update[line]) {
+        const std::size_t u = update++;
+        if (!ledger.Op(text.rfind("ok sweeps=", 0) == 0)) continue;
+        ++ok_replies;
+        const double latency =
+            session.written[reply] - session.handed[line + 1];
+        update_total += latency;
+        fastest[u] = std::min(fastest[u], latency);
+      } else if (script[line + 1] != "labels") {
+        ++queries;
+        query_ok +=
+            ledger.Op(text.rfind(script[line + 1].substr(2) + " ", 0) == 0);
+      }
+    }
+    session_update_s.push_back(update_total);
+  }
+  const std::int64_t sessions = static_cast<std::int64_t>(session_s.size());
+  ledger.Check("every update replies ok", ok_replies == sessions * num_updates,
+               std::to_string(ok_replies) + " of " +
+                   std::to_string(sessions * num_updates));
+  ledger.Check("every query answers its node", query_ok == queries,
+               std::to_string(query_ok) + " of " + std::to_string(queries));
+  std::vector<double> latency;
+  for (const double s : fastest) {
+    if (std::isfinite(s)) latency.push_back(s);
+  }
+
+  if (sbp_s.empty()) sample_sbp();  // the check below needs one
+
+  // A cold solve of the final problem.
   linbp::LinBpOptions serve_options;  // what RunServe sets
   serve_options.max_iterations = 1000;
   serve_options.exec = ctx;
@@ -350,105 +287,84 @@ int RunServeWorkload(const Args& args) {
                label_mismatches == 0,
                std::to_string(label_mismatches) + " of " + std::to_string(n) +
                    " differ beyond a " + Fmt(kParity) + " tie");
-  const linbp::SbpResult sbp_cold =
-      linbp::RunSbp(final_graph, hhat, final_problem.residuals,
-                    final_problem.explicit_nodes, ctx);
-  const double sbp_diff = MaxAbsDiff(sbp->beliefs(), sbp_cold.beliefs);
+
+  // SBP: the trace replayed on SbpState must end where RunSbp from
+  // scratch on the final graph does.
+  linbp::SbpState sbp = linbp::SbpState::FromGraph(
+      start_state->graph, hhat, start_state->explicit_residuals,
+      start_state->explicit_nodes, ctx);
+  bool replay_ok = true;
+  for (const UpdateOp& op : trace.ops) {
+    replay_ok = linbp::dataset::ApplyUpdateOp(op, &sbp, &error) >= 0 &&
+                replay_ok;
+  }
+  ledger.Op(replay_ok);
+  const double sbp_diff = MaxAbsDiff(sbp.beliefs(), sbp_cold.beliefs);
   ledger.Check("warm SBP == cold SBP of the final graph", sbp_diff <= kParity,
                "max diff " + Fmt(sbp_diff));
 
-  const double p50 = Percentile(latency, 0.50);
-  double update_total = 0.0;
-  for (const double s : latency) update_total += s;
+  const double peak_rss = PeakRssMb();
+  LogSamples("setup_s", setup);
+  LogSamples("update_s (fastest per update)", latency);
+  LogSamples("session_s", session_s);
+  LogSamples("sbp_s", sbp_s);
+  std::cerr << "update p95 (fastest per update): "
+            << Fmt(Percentile(latency, 0.95)) << " s\n";
+
   if (!args.trace) {
     metrics.Set("setup_s", Median(setup), "s");
-    metrics.Set("update_p50_ms", 1e3 * p50, "ms");
-    metrics.Set("update_p95_ms", 1e3 * Percentile(latency, 0.95), "ms");
-    metrics.Set("updates_per_s",
-                static_cast<double>(latency.size()) / update_total, "1/s");
+    metrics.Set("solve_s", Percentile(latency, 0.50), "s");
+    metrics.Set("round_s", FastDecile(session_s), "s");
     metrics.Set("peak_rss_mb", peak_rss, "MB");
     std::cout << metrics.ResultJson(ledger) << std::endl;
     return 0;
   }
 
-  // Traced run. A mirror LinBpState with RunServe's options replays the
-  // trace twice: over the counting wrapper, and bare for the overhead.
-  linbp::LinBpOptions mirror_options = serve_options;
-  mirror_options.estimate_spectral_radius = true;
-  std::vector<double> mirror_latency[2];
-  std::vector<double> products_edge, products_belief;
-  double mirror_wall[2] = {0.0, 0.0};
-  for (int traced = 0; traced < 2; ++traced) {
-    auto graph = std::make_shared<Graph>(start_state->graph);
-    auto memory = std::make_shared<linbp::engine::InMemoryBackend>(graph.get());
-    auto wrapper = std::make_shared<TracingBackend>(memory.get());
-    std::shared_ptr<const linbp::engine::PropagationBackend> backend =
-        traced ? std::static_pointer_cast<const linbp::engine::PropagationBackend>(
-                     wrapper)
-               : memory;
-    linbp::LinBpState state(graph, backend, hhat,
-                            start_state->explicit_residuals, mirror_options);
-    for (const UpdateOp& op : trace.ops) {
-      wrapper->Reset();
-      const double start = Now();
-      const int sweeps = linbp::dataset::ApplyUpdateOp(op, &state, &error);
-      const double seconds = Now() - start;
-      ledger.Op(sweeps >= 0);
-      mirror_latency[traced].push_back(seconds);
-      mirror_wall[traced] += seconds;
-      if (traced) {
-        (IsEdgeOp(op) ? products_edge : products_belief)
-            .push_back(static_cast<double>(wrapper->products()));
-      }
-    }
-    const double diff = MaxAbsDiff(state.beliefs(), cold.beliefs);
-    ledger.Check(traced ? "warm LinBpState (traced) == cold solve"
-                        : "warm LinBpState == cold solve",
-                 diff <= kParity, "max diff " + Fmt(diff));
+  // Traced run: the update probe replays the same trace (same seed and
+  // length) through RunServe and two mirror LinBpStates; its per-update
+  // figures are this workload's per-solve ones.
+  const auto probe =
+      ProbeUpdates(*scenario, args.seed, num_updates, eps, 1, 10, true,
+                   args.dir + "/updates", &ledger, &metrics);
+  if (!probe.has_value()) return 1;
+  const double mirror_diff = MaxAbsDiff(probe->mirror_beliefs, cold.beliefs);
+  ledger.Check("warm mirror LinBpState == cold solve", mirror_diff <= kParity,
+               "max diff " + Fmt(mirror_diff));
+  ProbeKernels(final_graph, cold.beliefs, ctx, &metrics);
+  ProbeGraph(final_graph, &metrics);
+  ProbeRegistry(final_graph, hhat, final_problem.residuals, serve_options, 5,
+                &ledger, &metrics);
+  if (!ProbeShardsOf(*scenario, eps, args.dir + "/shards", &ledger,
+                     &metrics)) {
+    return 1;
   }
-
-  std::vector<double> build_s, copy_s, parse_us;
-  for (int i = 0; i < 5; ++i) {
-    double start = Now();
-    const Graph built(n, final_problem.edges);
-    build_s.push_back(Now() - start);
-    start = Now();
-    const Graph copy = built;
-    copy_s.push_back(Now() - start);
-    UpdateOp op;
-    start = Now();
-    for (const UpdateOp& traced_op : trace.ops) {
-      linbp::dataset::ParseUpdateLine(
-          linbp::dataset::FormatUpdateOp(traced_op), scenario->k, &op, &error);
-    }
-    parse_us.push_back(1e6 * (Now() - start) /
-                       static_cast<double>(trace.ops.size()));
+  std::vector<double> self_s;
+  double round_products = 0.0, round_sweeps = 0.0;
+  for (std::size_t u = 0; u < probe->mirror_latency.size(); ++u) {
+    self_s.push_back(probe->mirror_latency[u] - probe->product_seconds[u]);
+    round_products += probe->products[u];
   }
+  for (const double sweeps : probe->sweeps) round_sweeps += sweeps;
   auto mean = [](const std::vector<double>& v) {
     double sum = 0.0;
     for (const double x : v) sum += x;
     return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
   };
-  auto mean_int = [&](const std::vector<int>& v) {
-    return mean(std::vector<double>(v.begin(), v.end()));
-  };
-  ReportReconcile("serve update time", mirror_wall[1], update_total, &metrics);
+  ReportReconcile("serve update time", probe->mirror_wall[1],
+                  Median(session_update_s), &metrics);
 
-  metrics.Set("graph.build_s", Median(build_s), "s");
-  metrics.Set("graph.copy_s", Median(copy_s), "s");
-  metrics.Set("dataset.trace_gen_s", Median(trace_gen), "s");
-  metrics.Set("dataset.parse_update_us", Median(parse_us), "us");
-  metrics.Set("core.warm_sweeps_edge", mean_int(sweeps_edge), "count");
-  metrics.Set("core.warm_sweeps_belief", mean_int(sweeps_belief), "count");
-  metrics.Set("core.products_per_edge_update", mean(products_edge), "count");
-  metrics.Set("core.products_per_belief_update", mean(products_belief),
+  metrics.Set("engine.solve_products", mean(probe->products), "count");
+  metrics.Set("engine.product_s", mean(probe->product_seconds), "s");
+  metrics.Set("engine.round_products", round_products, "count");
+  metrics.Set("core.solve_sweeps", mean(probe->sweeps), "count");
+  metrics.Set("core.self_s", mean(self_s), "s");
+  metrics.Set("core.round_sweeps", round_sweeps, "count");
+  metrics.Set("core.sbp_s", FastDecile(sbp_s), "s");
+  metrics.Set("core.sbp_levels", static_cast<double>(sbp_cold.max_geodesic),
               "count");
-  metrics.Set("core.sbp_recomputed_nodes", static_cast<double>(recomputed),
-              "count");
-  metrics.Set("core.sbp_replay_s", Median(sbp_replay), "s");
-  metrics.Set("tools.serve_overhead_ms",
-              1e3 * (p50 - Percentile(mirror_latency[0], 0.50)), "ms");
-  metrics.Set("obs.trace_overhead_s", mirror_wall[1] - mirror_wall[0], "s");
+  metrics.Set("dataset.scenario_build_s", Median(scenario_build), "s");
+  metrics.Set("obs.trace_overhead_s",
+              probe->mirror_wall[1] - probe->mirror_wall[0], "s");
   std::cout << metrics.ResultJson(ledger) << std::endl;
   return 0;
 }

@@ -3,24 +3,21 @@
 // the shard sets; this process solves them uncached (v2-f64), at f32 over
 // v2-f32 shards, and with a decoded-block cache that covers the working
 // set, then checks every result against an in-memory solve of the same
-// shards.
+// shards. SBP runs from scratch on the same graph held in memory.
 
-#include <cmath>
-#include <cstring>
-#include <filesystem>
+#include <cstdio>
 #include <iostream>
 #include <optional>
 
 #include "perfbench/src/harness.h"
+#include "perfbench/src/probes.h"
 #include "perfbench/src/workloads.h"
 #include "src/core/convergence.h"
 #include "src/core/coupling.h"
 #include "src/core/linbp.h"
-#include "src/dataset/format_internal.h"
+#include "src/core/sbp.h"
 #include "src/dataset/shard.h"
-#include "src/dataset/shard_stream.h"
 #include "src/engine/shard_stream_backend.h"
-#include "src/obs/metrics.h"
 
 namespace perfbench {
 
@@ -29,12 +26,15 @@ namespace {
 using linbp::LinBpOptions;
 using linbp::LinBpResult;
 using linbp::engine::ShardStreamBackend;
-namespace fs = std::filesystem;
-namespace internal = linbp::dataset::internal;
 
-constexpr int kLanes = 2;
-constexpr std::int64_t kShards = 8;
 constexpr int kMinRounds = 3;
+// RunSbp takes about 60 ms here: the traced run times it call by call
+// for this many seconds, with at least kMinSbpSamples calls.
+constexpr double kSbpSeconds = 2.0;
+constexpr int kMinSbpSamples = 9;
+// Updates in the traced run's update probe: each one re-solves the whole
+// graph, so a few suffice (every op kind still occurs once or more).
+constexpr std::int64_t kProbeUpdates = 5;
 // Half the Lemma 8 threshold of the workload graph,
 // sbm:n=200000,k=3,deg=10,seed=1 (0.202301; see README). Bisecting it
 // takes over a minute, which no run should pay.
@@ -45,132 +45,11 @@ std::string SpecFor(const Args& args) {
          ",k=3,deg=10";
 }
 
-std::string Manifest(const Args& args, const char* set) {
-  return (fs::path(args.dir) / set / linbp::dataset::ShardManifestFileName())
-      .string();
-}
-
-std::int64_t ShardFileBytes(const std::string& manifest) {
-  std::string error;
-  const auto info = linbp::dataset::ReadShardManifestInfo(manifest, &error);
-  if (!info.has_value()) return -1;
-  std::int64_t total = 0;
-  for (const auto& shard : info->shards) {
-    total += static_cast<std::int64_t>(
-        fs::file_size(fs::path(manifest).parent_path() / shard.file));
-  }
-  return total;
-}
-
-struct StreamSolve {
-  double open_seconds = 0.0;
-  double seconds = 0.0;  // Open + solve
-  std::int64_t bytes_after_open = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_lookups = 0;
-  std::int64_t peak_resident = 0;
-  std::int64_t products = 0;     // traced solves only
-  double product_seconds = 0.0;  // traced solves only
-  LinBpResult result;
-};
-
-// Opens `manifest` and solves it; `traced` wraps the backend's products
-// in a TracingBackend.
-std::optional<StreamSolve> Solve(const std::string& manifest, double eps,
-                                 const LinBpOptions& options,
-                                 std::int64_t cache_budget, bool traced) {
-  StreamSolve solve;
-  std::string error;
-  const double start = Now();
-  auto backend = ShardStreamBackend::Open(manifest, &error, options.exec,
-                                          cache_budget);
-  solve.open_seconds = Now() - start;
-  if (!backend.has_value()) {
-    std::cerr << "stream: " << error << '\n';
-    return std::nullopt;
-  }
-  const std::int64_t bytes_before = backend->reader().file_bytes_read_total();
-  const DenseMatrix hhat =
-      linbp::CouplingMatrix::FromResidual(backend->coupling_residual())
-          .ScaledResidual(eps);
-  if (traced) {
-    const TracingBackend wrapper(&*backend);
-    solve.result = linbp::RunLinBp(wrapper, hhat,
-                                   backend->explicit_residuals(), options);
-    solve.products = wrapper.products();
-    solve.product_seconds = wrapper.product_seconds();
-  } else {
-    solve.result = linbp::RunLinBp(*backend, hhat,
-                                   backend->explicit_residuals(), options);
-  }
-  solve.seconds = Now() - start;
-  solve.bytes_after_open =
-      backend->reader().file_bytes_read_total() - bytes_before;
-  solve.peak_resident = backend->reader().peak_resident_csr_bytes();
-  if (backend->cache() != nullptr) {
-    solve.cache_hits = backend->cache()->hits_total();
-    solve.cache_lookups = solve.cache_hits + backend->cache()->misses_total();
-  }
-  return solve;
-}
-
-// One sweep's worth of the shard-read layers, each timed from outside:
-// file read, checksum, column decode, and the whole ReadBlock.
-struct SweepLayers {
-  double read = 0.0, checksum = 0.0, decode = 0.0, read_block = 0.0;
-};
-
-SweepLayers TimeShardLayers(const std::string& manifest) {
-  std::string error;
-  const auto info = linbp::dataset::ReadShardManifestInfo(manifest, &error);
-  const auto reader = linbp::dataset::ShardStreamReader::Open(manifest, &error);
-  SweepLayers layers;
-  if (!info.has_value() || !reader.has_value()) return layers;
-  for (std::size_t s = 0; s < info->shards.size(); ++s) {
-    const auto& shard = info->shards[s];
-    const std::string path =
-        (fs::path(manifest).parent_path() / shard.file).string();
-    std::vector<char> bytes;
-    double start = Now();
-    internal::ReadFileBytes(path, &bytes, &error);
-    layers.read += Now() - start;
-    const char* payload = bytes.data() + internal::kHeaderBytes;
-    const std::size_t payload_size = bytes.size() - internal::kHeaderBytes;
-    start = Now();
-    volatile std::uint64_t sum = internal::Fnv1a(payload, payload_size);
-    (void)sum;
-    layers.checksum += Now() - start;
-    std::uint64_t encoded = 0;
-    std::memcpy(&encoded, payload, 8);
-    const std::int64_t rows = shard.row_end - shard.row_begin;
-    std::vector<std::int64_t> row_ptr(static_cast<std::size_t>(rows + 1));
-    std::vector<std::int32_t> col_idx(static_cast<std::size_t>(shard.nnz));
-    std::string what;
-    start = Now();
-    internal::DecodeColumnSection(payload + 8, encoded, rows, shard.nnz,
-                                  info->num_nodes, row_ptr.data(),
-                                  col_idx.data(), &what);
-    layers.decode += Now() - start;
-    linbp::dataset::ShardStreamBlock block;
-    start = Now();
-    reader->ReadBlock(static_cast<std::int64_t>(s), &block, &error);
-    layers.read_block += Now() - start;
-  }
-  return layers;
-}
-
-double PrefetchStallSum() {
-  return linbp::obs::Registry::Global()
-      .GetHistogram("pipeline_prefetch_stall_seconds")
-      .Snapshot()
-      .sum;
-}
-
 }  // namespace
 
 int RunStreamSetup(const Args& args) {
   const linbp::exec::ExecContext ctx =
-      linbp::exec::ExecContext::WithThreads(kLanes);
+      linbp::exec::ExecContext::WithThreads(kStreamLanes);
   std::string error;
   double start = Now();
   const auto scenario = MakeWorkloadScenario(SpecFor(args), args.seed, ctx, &error);
@@ -180,16 +59,9 @@ int RunStreamSetup(const Args& args) {
     return 1;
   }
   start = Now();
-  for (const auto& [set, compression] :
-       {std::pair{"f64", linbp::dataset::ShardCompression::kF64},
-        std::pair{"f32", linbp::dataset::ShardCompression::kF32}}) {
-    const fs::path dir = fs::path(args.dir) / set;
-    fs::create_directories(dir);
-    if (!linbp::dataset::ShardSnapshot(*scenario, kShards, dir.string(), &error,
-                                       compression)) {
-      std::cerr << "stream-setup: " << error << '\n';
-      return 1;
-    }
+  if (!WriteShardSets(*scenario, args.dir, &error)) {
+    std::cerr << "stream-setup: " << error << '\n';
+    return 1;
   }
   const double write_seconds = Now() - start;
   std::printf("{\"scenario_build_s\": %.9g, \"shard_write_s\": %.9g}\n",
@@ -199,16 +71,15 @@ int RunStreamSetup(const Args& args) {
 
 int RunStream(const Args& args) {
   const linbp::exec::ExecContext ctx =
-      linbp::exec::ExecContext::WithThreads(kLanes);
-  const std::string f64_manifest = Manifest(args, "f64");
-  const std::string f32_manifest = Manifest(args, "f32");
+      linbp::exec::ExecContext::WithThreads(kStreamLanes);
+  const ShardSets sets = ShardSetsIn(args.dir);
   Ledger ledger;
   Metrics metrics;
   std::string error;
 
   double eps = kFullEps;
   if (args.size == Size::kToy) {
-    auto backend = ShardStreamBackend::Open(f64_manifest, &error, ctx);
+    auto backend = ShardStreamBackend::Open(sets.f64_manifest, &error, ctx);
     if (!backend.has_value()) {
       std::cerr << "stream: " << error << '\n';
       return 1;
@@ -219,86 +90,76 @@ int RunStream(const Args& args) {
                         backend->coupling_residual()),
                     linbp::LinBpVariant::kLinBp, 1e-6, ctx);
   }
-  LinBpOptions f64;
-  f64.exec = ctx;
-  LinBpOptions f32 = f64;
-  f32.precision = linbp::Precision::kF32;
-  f32.tolerance = 1e-6;
+  const LinBpOptions f64 = StreamOptions(linbp::Precision::kF64);
+  const LinBpOptions f32 = StreamOptions(linbp::Precision::kF32);
 
   // A budget equal to the decoded working set: every block fits.
-  std::int64_t budget = 0;
-  {
-    const auto reader =
-        linbp::dataset::ShardStreamReader::Open(f64_manifest, &error);
-    if (!reader.has_value()) {
-      std::cerr << "stream: " << error << '\n';
-      return 1;
-    }
-    for (std::int64_t s = 0; s < reader->num_shards(); ++s) {
-      budget += reader->block_csr_bytes(s);
-    }
+  const std::int64_t budget = CoveringBudget(sets.f64_manifest, &error);
+  if (budget <= 0) {
+    std::cerr << "stream: " << error << '\n';
+    return 1;
   }
 
   const double measure_start = Now();
-  std::vector<double> uncached_s, f32_s, cached_s;
+  std::vector<double> uncached_s, f32_s, cached_s, round_s;
   std::optional<StreamSolve> uncached, narrow, cached;
   for (int round = 0;
        round < kMinRounds || Now() - measure_start < args.seconds; ++round) {
-    uncached = Solve(f64_manifest, eps, f64, 0, false);
+    uncached = SolveStreamed(sets.f64_manifest, eps, f64, 0, false);
     if (!ledger.Op(uncached.has_value() && uncached->result.converged)) break;
     uncached_s.push_back(uncached->seconds);
-    narrow = Solve(f32_manifest, eps, f32, 0, false);
+    narrow = SolveStreamed(sets.f32_manifest, eps, f32, 0, false);
     if (!ledger.Op(narrow.has_value() && narrow->result.converged)) break;
     f32_s.push_back(narrow->seconds);
-    cached = Solve(f64_manifest, eps, f64, budget, false);
+    cached = SolveStreamed(sets.f64_manifest, eps, f64, budget, false);
     if (!ledger.Op(cached.has_value() && cached->result.converged)) break;
     cached_s.push_back(cached->seconds);
+    round_s.push_back(uncached->seconds + narrow->seconds + cached->seconds);
   }
   if (!uncached || !narrow || !cached) return 1;
   LogSamples("stream_solve_s", uncached_s);
   LogSamples("stream_f32_solve_s", f32_s);
   LogSamples("stream_cached_solve_s", cached_s);
+  LogSamples("round_s", round_s);
   // Peak RSS of the solving process, before any reference is loaded.
   const double peak_rss = PeakRssMb();
 
   // Checks: in-memory solves of the same shards, byte accounting.
-  const std::int64_t f64_bytes = ShardFileBytes(f64_manifest);
-  const std::int64_t f32_bytes = ShardFileBytes(f32_manifest);
-  {
-    const auto reference =
-        linbp::dataset::LoadShardedSnapshot(f64_manifest, &error, ctx);
-    if (!ledger.Op(reference.has_value())) {
-      std::cerr << "stream: " << error << '\n';
-      return 1;
-    }
-    const DenseMatrix hhat = reference->Coupling().ScaledResidual(eps);
-    const double start = Now();
-    const LinBpResult memory =
-        linbp::RunLinBp(reference->graph, hhat, reference->explicit_residuals,
-                        f64);
-    std::cerr << "in-memory reference solve: " << Fmt(Now() - start)
-              << " s on " << kLanes << " lanes\n";
-    ledger.Check("uncached stream == in-memory (memcmp)",
-                 SameBytes(uncached->result.beliefs, memory.beliefs),
-                 "v2-f64, " + std::to_string(memory.iterations) + " sweeps");
-    ledger.Check("cached stream == in-memory (memcmp)",
-                 SameBytes(cached->result.beliefs, memory.beliefs),
-                 "budget " + std::to_string(budget) + " bytes");
+  const std::int64_t f64_bytes = ShardFileBytes(sets.f64_manifest);
+  const std::int64_t f32_bytes = ShardFileBytes(sets.f32_manifest);
+  const auto reference =
+      linbp::dataset::LoadShardedSnapshot(sets.f64_manifest, &error, ctx);
+  if (!ledger.Op(reference.has_value())) {
+    std::cerr << "stream: " << error << '\n';
+    return 1;
   }
+  const Graph& graph = reference->graph;
+  const DenseMatrix& e = reference->explicit_residuals;
+  const DenseMatrix hhat = reference->Coupling().ScaledResidual(eps);
+  double start = Now();
+  const LinBpResult memory = linbp::RunLinBp(graph, hhat, e, f64);
+  std::cerr << "in-memory reference solve: " << Fmt(Now() - start)
+            << " s on " << kStreamLanes << " lanes\n";
+  ledger.Check("uncached stream == in-memory (memcmp)",
+               SameBytes(uncached->result.beliefs, memory.beliefs),
+               "v2-f64, " + std::to_string(memory.iterations) + " sweeps");
+  ledger.Check("cached stream == in-memory (memcmp)",
+               SameBytes(cached->result.beliefs, memory.beliefs),
+               "budget " + std::to_string(budget) + " bytes");
   {
-    const auto reference =
-        linbp::dataset::LoadShardedSnapshot(f32_manifest, &error, ctx);
-    if (!ledger.Op(reference.has_value())) {
+    const auto narrow_reference =
+        linbp::dataset::LoadShardedSnapshot(sets.f32_manifest, &error, ctx);
+    if (!ledger.Op(narrow_reference.has_value())) {
       std::cerr << "stream: " << error << '\n';
       return 1;
     }
-    const DenseMatrix hhat = reference->Coupling().ScaledResidual(eps);
-    const LinBpResult memory =
-        linbp::RunLinBp(reference->graph, hhat, reference->explicit_residuals,
-                        f32);
+    const LinBpResult memory32 = linbp::RunLinBp(
+        narrow_reference->graph,
+        narrow_reference->Coupling().ScaledResidual(eps),
+        narrow_reference->explicit_residuals, f32);
     ledger.Check("f32 stream == in-memory f32 (memcmp)",
-                 SameBytes(narrow->result.beliefs, memory.beliefs),
-                 "v2-f32, " + std::to_string(memory.iterations) + " sweeps");
+                 SameBytes(narrow->result.beliefs, memory32.beliefs),
+                 "v2-f32, " + std::to_string(memory32.iterations) + " sweeps");
   }
   ledger.Check("uncached bytes == sweeps x shard bytes",
                uncached->bytes_after_open ==
@@ -315,70 +176,67 @@ int RunStream(const Args& args) {
                cached->bytes_after_open == 0,
                std::to_string(cached->bytes_after_open) + " bytes");
 
+  // SBP from scratch on the workload graph, held in memory: once for the
+  // check, and call by call for core.sbp_s in the traced run.
+  std::vector<double> sbp_s;
+  linbp::SbpResult sbp_result;
+  const double sbp_start = Now();
+  do {
+    start = Now();
+    sbp_result = linbp::RunSbp(graph, hhat, e, reference->explicit_nodes, ctx);
+    sbp_s.push_back(Now() - start);
+    ledger.Op(true);
+  } while (args.trace && (static_cast<int>(sbp_s.size()) < kMinSbpSamples ||
+                          Now() - sbp_start < kSbpSeconds));
+  LogSamples("sbp_s", sbp_s);
+  std::int64_t oracle_levels = 0;
+  const DenseMatrix oracle =
+      SbpOracle(graph.num_nodes(), graph.edges(), hhat, e,
+                reference->explicit_nodes, &oracle_levels);
+  const double sbp_diff = MaxAbsDiff(oracle, sbp_result.beliefs);
+  ledger.Check("SBP vs BFS + Def. 15 recursion",
+               sbp_diff <= 1e-9 && oracle_levels == sbp_result.max_geodesic,
+               "max diff " + Fmt(sbp_diff) + ", levels " +
+                   std::to_string(oracle_levels));
+
   if (!args.trace) {
-    metrics.Set("stream_solve_s", Median(uncached_s), "s");
-    metrics.Set("stream_f32_solve_s", Median(f32_s), "s");
-    metrics.Set("stream_cached_solve_s", Median(cached_s), "s");
+    metrics.Set("solve_s", FastDecile(uncached_s), "s");
+    metrics.Set("round_s", FastDecile(round_s), "s");
     metrics.Set("peak_rss_mb", peak_rss, "MB");
     std::cout << metrics.ResultJson(ledger) << std::endl;
     return 0;
   }
 
   // Traced run: products through the wrapper, shard layers called
-  // directly, the pipeline's stall histogram read through the registry.
-  std::vector<double> open_s, product_s, self_s, wall_s, stall_s;
-  std::vector<double> read_s, checksum_s, decode_s, read_block_s;
-  std::int64_t products = 0;
-  int sweeps = 0;
-  for (int i = 0; i < kMinRounds; ++i) {
-    const double stall_before = PrefetchStallSum();
-    const auto solve = Solve(f64_manifest, eps, f64, 0, true);
-    if (!ledger.Op(solve.has_value() && solve->result.converged)) return 1;
-    stall_s.push_back(PrefetchStallSum() - stall_before);
-    open_s.push_back(solve->open_seconds);
-    product_s.push_back(solve->product_seconds);
-    self_s.push_back(solve->seconds - solve->open_seconds -
-                     solve->product_seconds);
-    wall_s.push_back(solve->seconds);
-    products = solve->products;
-    sweeps = solve->result.iterations;
-    const SweepLayers layers = TimeShardLayers(f64_manifest);
-    read_s.push_back(layers.read);
-    checksum_s.push_back(layers.checksum);
-    decode_s.push_back(layers.decode);
-    read_block_s.push_back(layers.read_block);
+  // directly, the pipeline's stall histogram read through the registry,
+  // and the in-memory and update layers probed on the same graph.
+  const auto probe = ProbeShards(sets, eps, kMinRounds, &ledger, &metrics);
+  if (!probe.has_value()) return 1;
+  ProbeKernels(graph, memory.beliefs, ctx, &metrics);
+  ProbeGraph(graph, &metrics);
+  ProbeRegistry(graph, hhat, e, f64, 2, &ledger, &metrics);
+  if (!ProbeUpdates(*reference, args.seed, kProbeUpdates, eps, kStreamLanes,
+                    3, false, args.dir + "/updates", &ledger, &metrics)) {
+    return 1;
   }
   const double untraced = Median(uncached_s);
-  const double layer_sum = Median(open_s) + Median(product_s) + Median(self_s);
-  ReportReconcile("stream_solve_s", layer_sum, untraced, &metrics);
-  const double product_per_sweep =
-      Median(product_s) / static_cast<double>(std::max<std::int64_t>(1, products));
+  const double layer_sum =
+      Median(probe->open_s) + Median(probe->product_s) + Median(probe->self_s);
+  ReportReconcile("solve_s", layer_sum, untraced, &metrics);
 
-  metrics.Set("engine.solve_products", static_cast<double>(products), "count");
-  metrics.Set("engine.product_s", Median(product_s), "s");
-  metrics.Set("engine.stream_open_s", Median(open_s), "s");
-  metrics.Set("engine.cache_hit_rate",
-              static_cast<double>(cached->cache_hits) /
-                  static_cast<double>(std::max<std::int64_t>(
-                      1, cached->cache_lookups)),
-              "share");
-  metrics.Set("core.solve_sweeps", static_cast<double>(sweeps), "count");
-  metrics.Set("core.self_s", Median(self_s), "s");
-  metrics.Set("dataset.read_s", Median(read_s), "s");
-  metrics.Set("dataset.checksum_s", Median(checksum_s), "s");
-  metrics.Set("dataset.decode_s", Median(decode_s), "s");
-  metrics.Set("dataset.read_block_s", Median(read_block_s), "s");
-  metrics.Set("dataset.bytes_per_sweep", static_cast<double>(f64_bytes),
-              "bytes");
-  metrics.Set("dataset.bytes_per_sweep_f32", static_cast<double>(f32_bytes),
-              "bytes");
-  metrics.Set("dataset.peak_resident_csr_mb",
-              static_cast<double>(uncached->peak_resident) / (1024.0 * 1024.0),
-              "MB");
-  metrics.Set("exec.prefetch_stall_s", Median(stall_s), "s");
-  metrics.Set("exec.serial_stage_share", Median(read_block_s) / product_per_sweep,
-              "share");
-  metrics.Set("obs.trace_overhead_s", Median(wall_s) - untraced, "s");
+  metrics.Set("engine.solve_products", static_cast<double>(probe->products),
+              "count");
+  metrics.Set("engine.product_s", Median(probe->product_s), "s");
+  metrics.Set("engine.round_products",
+              static_cast<double>(probe->round_products), "count");
+  metrics.Set("core.solve_sweeps", static_cast<double>(probe->sweeps), "count");
+  metrics.Set("core.self_s", Median(probe->self_s), "s");
+  metrics.Set("core.round_sweeps", static_cast<double>(probe->round_sweeps),
+              "count");
+  metrics.Set("core.sbp_s", FastDecile(sbp_s), "s");
+  metrics.Set("core.sbp_levels", static_cast<double>(sbp_result.max_geodesic),
+              "count");
+  metrics.Set("obs.trace_overhead_s", Median(probe->wall_s) - untraced, "s");
   std::cout << metrics.ResultJson(ledger) << std::endl;
   return 0;
 }
