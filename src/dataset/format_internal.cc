@@ -32,12 +32,26 @@ void AppendString(const std::string& s, std::vector<char>* out) {
 
 bool ReadFileBytes(const std::string& path, std::vector<char>* out,
                    std::string* error) {
+  // Checked before opening: opening a FIFO blocks until a writer shows
+  // up, and a directory opens fine but reports a size near 2^63.
+  std::error_code ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status)) {
+    *error = path + ": not a regular file";
+    return false;
+  }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     *error = path + ": cannot open";
     return false;
   }
   const std::streamoff size = in.tellg();
+  if (size < 0) {
+    *error = path + ": not a regular file";
+    return false;
+  }
   in.seekg(0);
   out->resize(static_cast<std::size_t>(size));
   if (size > 0 && !in.read(out->data(), size)) {
@@ -373,6 +387,16 @@ bool ParseShardManifest(const std::string& path,
       *error = path + ": shard " + std::to_string(s) + " has no file name";
       return false;
     }
+    // One plain path component, as the writer emits (ShardFileName):
+    // anything else could aim the reader outside the manifest's
+    // directory, or at a directory or FIFO inside it.
+    if (entry.file == "." || entry.file == ".." ||
+        entry.file.find_first_of(std::string("/\0", 2)) !=
+            std::string::npos) {
+      *error = path + ": shard " + std::to_string(s) +
+               " file name is not a plain file name";
+      return false;
+    }
     const std::int64_t rows = entry.row_end - entry.row_begin;
     if (m->version >= 2) {
       // The encoded size is a declared field, so bound it both ways: at
@@ -425,11 +449,20 @@ bool ParseShardManifest(const std::string& path,
   return true;
 }
 
-bool CheckShardAgainstManifest(const std::string& path,
-                               const std::vector<char>& bytes,
-                               const ShardManifest& manifest,
-                               std::int64_t shard, ShardFileHeader* h,
-                               std::string* error) {
+namespace {
+
+bool ShardChecksumMismatch(const std::string& path, std::string* error) {
+  *error = path + ": checksum mismatch (corrupted shard)";
+  return false;
+}
+
+}  // namespace
+
+bool CheckShardHeaderAgainstManifest(const std::string& path,
+                                     const std::vector<char>& bytes,
+                                     const ShardManifest& manifest,
+                                     std::int64_t shard, ShardFileHeader* h,
+                                     std::string* error) {
   const ShardManifestEntry& entry = manifest.entries[shard];
   if (!CheckMagicVersionEndian(path, bytes.data(), bytes.size(),
                                kShardFileMagic, manifest.version,
@@ -453,14 +486,34 @@ bool CheckShardAgainstManifest(const std::string& path,
     *error = path + ": shard header disagrees with its manifest entry";
     return false;
   }
-  const char* payload = bytes.data() + kHeaderBytes;
-  const std::size_t payload_size = bytes.size() - kHeaderBytes;
-  if (h->checksum != entry.checksum ||
-      Fnv1a(payload, payload_size) != h->checksum) {
-    *error = path + ": checksum mismatch (corrupted shard)";
+  if (h->checksum != entry.checksum) return ShardChecksumMismatch(path, error);
+  // The entry's payload size is exact (v1: computed from its counts; v2:
+  // as written), so a shorter file cannot back the counts a decoder
+  // sizes its arrays by.
+  if (bytes.size() - kHeaderBytes <
+      static_cast<std::size_t>(entry.payload_bytes)) {
+    *error = path + ": truncated shard payload";
     return false;
   }
   return true;
+}
+
+bool CheckShardPayloadHash(const std::string& path, const ShardFileHeader& h,
+                           std::uint64_t payload_hash, std::string* error) {
+  return payload_hash == h.checksum || ShardChecksumMismatch(path, error);
+}
+
+bool CheckShardAgainstManifest(const std::string& path,
+                               const std::vector<char>& bytes,
+                               const ShardManifest& manifest,
+                               std::int64_t shard, ShardFileHeader* h,
+                               std::string* error) {
+  return CheckShardHeaderAgainstManifest(path, bytes, manifest, shard, h,
+                                         error) &&
+         CheckShardPayloadHash(
+             path, *h,
+             Fnv1a(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes),
+             error);
 }
 
 std::optional<Scenario> ValidateAndAssembleScenario(

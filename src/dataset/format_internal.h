@@ -93,7 +93,8 @@ class Cursor {
 };
 
 /// Reads a whole file into memory. Returns false and fills *error on
-/// open or read failure.
+/// open or read failure, or when `path` is not a regular file (a
+/// directory, FIFO or device).
 bool ReadFileBytes(const std::string& path, std::vector<char>* out,
                    std::string* error);
 
@@ -204,7 +205,8 @@ struct ShardManifest {
 
 /// Parses and fully validates a manifest: header ranges, payload
 /// checksum, and a shard table whose row ranges exactly tile
-/// [0, num_nodes) with per-shard counts summing to the global ones.
+/// [0, num_nodes) with per-shard counts summing to the global ones and
+/// file names that are one plain path component (no '/', '.' or '..').
 /// Accepts format versions in [1, max_version] and records the one
 /// found in m->version.
 bool ParseShardManifest(const std::string& path,
@@ -287,13 +289,27 @@ struct ShardFileHeader {
   std::uint64_t checksum = 0;
 };
 
-/// Validates one shard file's bytes against its manifest entry: magic /
-/// version / endianness (the shard's version must equal the manifest's),
-/// a header agreeing with the manifest (row range, counts, flags —
-/// including the v2 f32-values bit — and index), and the payload
-/// checksum matching both the header and the manifest. Fills *h on
-/// success. The payload itself (bytes after the 64-byte header) is NOT
-/// deserialized here.
+/// The header half of CheckShardAgainstManifest: magic / version /
+/// endianness (the shard's version must equal the manifest's), a header
+/// agreeing with the manifest entry (row range, counts, flags —
+/// including the v2 f32-values bit — index and checksum), and a payload
+/// no shorter than the entry declares. Fills *h on success; reads no
+/// payload byte, so the hash can run alongside whatever else does.
+bool CheckShardHeaderAgainstManifest(const std::string& path,
+                                     const std::vector<char>& bytes,
+                                     const ShardManifest& manifest,
+                                     std::int64_t shard, ShardFileHeader* h,
+                                     std::string* error);
+
+/// The payload half: `payload_hash`, the FNV-1a of the bytes after the
+/// 64-byte header, must equal the checksum in the (checked) header.
+bool CheckShardPayloadHash(const std::string& path, const ShardFileHeader& h,
+                           std::uint64_t payload_hash, std::string* error);
+
+/// Validates one shard file's bytes against its manifest entry: the
+/// header check above, then the payload hash. Fills *h on success. The
+/// payload itself (bytes after the 64-byte header) is NOT deserialized
+/// here.
 bool CheckShardAgainstManifest(const std::string& path,
                                const std::vector<char>& bytes,
                                const ShardManifest& manifest,

@@ -499,6 +499,10 @@ std::optional<ShardManifestInfo> ReadShardManifestInfo(
 }
 
 bool LooksLikeShardManifest(const std::string& path) {
+  // Opening a FIFO would block until a writer appears; the loader the
+  // caller falls back to reports what the path is instead.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return false;
   std::ifstream in(path, std::ios::binary);
   char magic[8] = {};
   if (!in.read(magic, 8)) return false;

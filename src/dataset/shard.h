@@ -217,7 +217,8 @@ struct ShardManifestInfo {
 std::optional<ShardManifestInfo> ReadShardManifestInfo(
     const std::string& path, std::string* error);
 
-/// True when `path` exists and starts with the shard-manifest magic —
+/// True when `path` is a regular file that starts with the
+/// shard-manifest magic —
 /// the dispatch test that lets the `snap:` scenario and `linbp_cli info`
 /// accept monolithic snapshots and shard manifests interchangeably.
 bool LooksLikeShardManifest(const std::string& path);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <utility>
 
 #include "src/dataset/format_internal.h"
@@ -12,6 +13,154 @@
 
 namespace linbp {
 namespace dataset {
+
+namespace {
+
+// Deserializes a shard's payload (the bytes after header `h`, already
+// checked against the manifest) into *block. This and ValidateShardBlock
+// run before the checksum verdict, so they treat the bytes as hostile:
+// every malformed section is an error return, never a crash. Both leave
+// *block partially filled on failure; the caller discards it.
+bool DecodeShardBlock(const std::string& path, const std::vector<char>& bytes,
+                      const internal::ShardManifest& manifest,
+                      const internal::ShardFileHeader& h,
+                      ShardStreamBlock* block, std::string* error) {
+  const std::int64_t rows = h.row_end - h.row_begin;
+  const std::int64_t k = manifest.k;
+  const char* payload = bytes.data() + internal::kHeaderBytes;
+  std::size_t payload_size = bytes.size() - internal::kHeaderBytes;
+  block->row_begin = h.row_begin;
+  block->row_end = h.row_end;
+  bool csr_ok = true;
+  if (manifest.version >= 2) {
+    // v2: u64-prefixed delta+varint column section, then an f64 or f32
+    // value section. The decoder enforces monotone row pointers,
+    // strictly increasing columns, and column bounds as it unpacks.
+    std::uint64_t encoded_bytes = 0;
+    if (payload_size < 8) {
+      *error = path + ": truncated shard payload";
+      return false;
+    }
+    std::memcpy(&encoded_bytes, payload, 8);
+    payload += 8;
+    payload_size -= 8;
+    if (encoded_bytes > payload_size) {
+      *error = path + ": truncated shard payload";
+      return false;
+    }
+    block->row_ptr.resize(static_cast<std::size_t>(rows + 1));
+    block->col_idx.resize(static_cast<std::size_t>(h.nnz));
+    std::string what;
+    if (!internal::DecodeColumnSection(
+            payload, static_cast<std::size_t>(encoded_bytes), rows, h.nnz,
+            manifest.num_nodes, block->row_ptr.data(),
+            block->col_idx.data(), &what)) {
+      *error = path + ": invalid shard column section (" + what + ")";
+      return false;
+    }
+    payload += encoded_bytes;
+    payload_size -= encoded_bytes;
+    internal::Cursor v2_cursor(payload, payload_size);
+    csr_ok = manifest.values_f32
+                 ? v2_cursor.ReadVector(&block->values_f32,
+                                        static_cast<std::size_t>(h.nnz))
+                 : v2_cursor.ReadVector(&block->values,
+                                        static_cast<std::size_t>(h.nnz));
+    if (csr_ok) {
+      payload += payload_size - v2_cursor.remaining();
+      payload_size = v2_cursor.remaining();
+    }
+  } else {
+    internal::Cursor v1_cursor(payload, payload_size);
+    csr_ok = v1_cursor.ReadVector(&block->row_ptr,
+                                  static_cast<std::size_t>(rows + 1)) &&
+             v1_cursor.ReadVector(&block->col_idx,
+                                  static_cast<std::size_t>(h.nnz)) &&
+             v1_cursor.ReadVector(&block->values,
+                                  static_cast<std::size_t>(h.nnz));
+    if (csr_ok) {
+      payload += payload_size - v1_cursor.remaining();
+      payload_size = v1_cursor.remaining();
+    }
+  }
+  internal::Cursor cursor(payload, payload_size);
+  const bool sections_ok =
+      csr_ok &&
+      cursor.ReadVector(&block->explicit_nodes,
+                        static_cast<std::size_t>(h.num_explicit)) &&
+      cursor.ReadVector(&block->explicit_rows,
+                        static_cast<std::size_t>(h.num_explicit * k)) &&
+      (!manifest.has_ground_truth ||
+       cursor.ReadVector(&block->ground_truth,
+                         static_cast<std::size_t>(rows)));
+  if (!sections_ok || cursor.remaining() != 0) {
+    *error = path + (sections_ok ? ": trailing bytes after the shard payload"
+                                 : ": truncated shard payload");
+    return false;
+  }
+  return true;
+}
+
+// Structural validation of a decoded block — everything the SpMM/SpMV
+// kernels rely on (the checksum only proves the bytes match what was
+// written, not that the writer was well behaved).
+bool ValidateShardBlock(const std::string& path,
+                        const internal::ShardManifest& manifest,
+                        const internal::ShardFileHeader& h,
+                        const ShardStreamBlock& block,
+                        std::string* error) {
+  const std::int64_t rows = h.row_end - h.row_begin;
+  const std::int64_t k = manifest.k;
+  auto fail = [&](const std::string& what) {
+    *error = path + ": " + what;
+    return false;
+  };
+  if (block.row_ptr.front() != 0 || block.row_ptr.back() != h.nnz) {
+    return fail("invalid shard row pointers");
+  }
+  const std::int64_t n = manifest.num_nodes;
+  const bool f32 = manifest.values_f32;
+  const auto value_at = [&](std::int64_t e) -> double {
+    return f32 ? static_cast<double>(block.values_f32[e])
+               : block.values[e];
+  };
+  for (std::int64_t r = 0; r < rows; ++r) {
+    if (block.row_ptr[r] > block.row_ptr[r + 1]) {
+      return fail("invalid shard row pointers");
+    }
+    for (std::int64_t e = block.row_ptr[r]; e < block.row_ptr[r + 1];
+         ++e) {
+      const std::int64_t c = block.col_idx[e];
+      if (c < 0 || c >= n || c == h.row_begin + r ||
+          !std::isfinite(value_at(e)) ||
+          (e > block.row_ptr[r] && block.col_idx[e - 1] >= c)) {
+        return fail(
+            "invalid shard payload (CSR structure, self-loop, or "
+            "non-finite weights)");
+      }
+    }
+  }
+  for (std::int64_t i = 0; i < h.num_explicit; ++i) {
+    const std::int64_t v = block.explicit_nodes[i];
+    if (v < h.row_begin || v >= h.row_end ||
+        (i > 0 && block.explicit_nodes[i - 1] >= v)) {
+      return fail("invalid explicit node list");
+    }
+    for (std::int64_t c = 0; c < k; ++c) {
+      if (!std::isfinite(block.explicit_rows[i * k + c])) {
+        return fail("non-finite explicit belief");
+      }
+    }
+  }
+  for (const std::int32_t cls : block.ground_truth) {
+    if (cls < -1 || cls >= k) {
+      return fail("ground-truth class out of range");
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 void ShardStreamBlock::ReleaseAccounting() {
   if (accounting_ != nullptr && counted_bytes_ > 0) {
@@ -163,165 +312,61 @@ std::int64_t ShardStreamReader::encoded_bytes_read_total() const {
 
 bool ShardStreamReader::ReadBlock(std::int64_t shard,
                                   ShardStreamBlock* block,
-                                  std::string* error) const {
+                                  std::string* error,
+                                  const exec::ExecContext& ctx) const {
   LINBP_CHECK(block != nullptr && error != nullptr);
   LINBP_CHECK(shard >= 0 && shard < num_shards());
-  *block = ShardStreamBlock();
   const internal::ShardManifest& manifest = *manifest_;
-  const internal::ShardManifestEntry& entry = manifest.entries[shard];
-  const std::string path =
-      internal::ShardSiblingPath(manifest_path_, entry.file);
+  const std::string path = internal::ShardSiblingPath(
+      manifest_path_, manifest.entries[shard].file);
   std::vector<char> bytes;
-  if (!internal::ReadFileBytes(path, &bytes, error)) return false;
-  internal::ShardFileHeader h;
-  if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard, &h,
-                                           error)) {
-    // One re-read before giving up: a mismatch can be a transient
-    // partial read (e.g. a writer still flushing); persistent on-disk
-    // corruption fails identically on the second pass.
+  // Two attempts: a header or checksum mismatch can be a transient
+  // partial read (e.g. a writer still flushing), so it earns one re-read;
+  // persistent on-disk corruption fails identically on the second pass.
+  for (int attempt = 0;; ++attempt) {
+    *block = ShardStreamBlock();
+    if (!internal::ReadFileBytes(path, &bytes, error)) return false;
+    internal::ShardFileHeader h;
+    bool verified = internal::CheckShardHeaderAgainstManifest(
+        path, bytes, manifest, shard, &h, error);
+    if (verified) {
+      // The hash and the decode only read the same immutable bytes, so
+      // with a second lane they run side by side and the read waits for
+      // the slower of the two. The checksum verdict still comes first:
+      // a decode error is reported only for bytes whose checksum
+      // matched, and no block leaves here before its verdict.
+      std::future<std::uint64_t> payload_hash = std::async(
+          ctx.threads() > 1 ? std::launch::async : std::launch::deferred,
+          internal::Fnv1a, bytes.data() + internal::kHeaderBytes,
+          bytes.size() - internal::kHeaderBytes);
+      std::string decode_error;
+      bool decoded =
+          DecodeShardBlock(path, bytes, manifest, h, block, &decode_error);
+      if (decoded) {
+        // The block's CSR memory is live from here on: count it before
+        // the structural sweep so the residency instrumentation never
+        // under-reports.
+        block->accounting_ = accounting_;
+        block->counted_bytes_ = block_csr_bytes(shard);
+        accounting_->Add(block->counted_bytes_);
+        decoded =
+            ValidateShardBlock(path, manifest, h, *block, &decode_error);
+      }
+      verified =
+          internal::CheckShardPayloadHash(path, h, payload_hash.get(), error);
+      if (verified && !decoded) {
+        *error = std::move(decode_error);
+        *block = ShardStreamBlock();
+        return false;
+      }
+    }
+    if (verified) break;
+    *block = ShardStreamBlock();
+    if (attempt > 0) return false;
     accounting_->checksum_retries.fetch_add(1, std::memory_order_relaxed);
     LINBP_OBS_COUNTER_ADD("shard_stream_checksum_retries_total", 1);
-    if (!internal::ReadFileBytes(path, &bytes, error)) return false;
-    if (!internal::CheckShardAgainstManifest(path, bytes, manifest, shard,
-                                             &h, error)) {
-      return false;
-    }
-  }
-
-  const std::int64_t rows = h.row_end - h.row_begin;
-  const std::int64_t k = manifest.k;
-  const char* payload = bytes.data() + internal::kHeaderBytes;
-  std::size_t payload_size = bytes.size() - internal::kHeaderBytes;
-  bool csr_ok = true;
-  if (manifest.version >= 2) {
-    // v2: u64-prefixed delta+varint column section, then an f64 or f32
-    // value section. The decoder enforces monotone row pointers,
-    // strictly increasing columns, and column bounds as it unpacks, so
-    // any malformed encoding is an error return here — never a crash.
-    std::uint64_t encoded_bytes = 0;
-    if (payload_size < 8) {
-      *error = path + ": truncated shard payload";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    std::memcpy(&encoded_bytes, payload, 8);
-    payload += 8;
-    payload_size -= 8;
-    if (encoded_bytes > payload_size) {
-      *error = path + ": truncated shard payload";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    block->row_ptr.resize(static_cast<std::size_t>(rows + 1));
-    block->col_idx.resize(static_cast<std::size_t>(h.nnz));
-    std::string what;
-    if (!internal::DecodeColumnSection(
-            payload, static_cast<std::size_t>(encoded_bytes), rows, h.nnz,
-            manifest.num_nodes, block->row_ptr.data(),
-            block->col_idx.data(), &what)) {
-      *error = path + ": invalid shard column section (" + what + ")";
-      *block = ShardStreamBlock();
-      return false;
-    }
-    payload += encoded_bytes;
-    payload_size -= encoded_bytes;
-    internal::Cursor v2_cursor(payload, payload_size);
-    csr_ok = manifest.values_f32
-                 ? v2_cursor.ReadVector(&block->values_f32,
-                                        static_cast<std::size_t>(h.nnz))
-                 : v2_cursor.ReadVector(&block->values,
-                                        static_cast<std::size_t>(h.nnz));
-    if (csr_ok) {
-      payload += payload_size - v2_cursor.remaining();
-      payload_size = v2_cursor.remaining();
-    }
-  } else {
-    internal::Cursor v1_cursor(payload, payload_size);
-    csr_ok = v1_cursor.ReadVector(&block->row_ptr,
-                                  static_cast<std::size_t>(rows + 1)) &&
-             v1_cursor.ReadVector(&block->col_idx,
-                                  static_cast<std::size_t>(h.nnz)) &&
-             v1_cursor.ReadVector(&block->values,
-                                  static_cast<std::size_t>(h.nnz));
-    if (csr_ok) {
-      payload += payload_size - v1_cursor.remaining();
-      payload_size = v1_cursor.remaining();
-    }
-  }
-  internal::Cursor cursor(payload, payload_size);
-  const bool sections_ok =
-      csr_ok &&
-      cursor.ReadVector(&block->explicit_nodes,
-                        static_cast<std::size_t>(h.num_explicit)) &&
-      cursor.ReadVector(&block->explicit_rows,
-                        static_cast<std::size_t>(h.num_explicit * k)) &&
-      (!manifest.has_ground_truth ||
-       cursor.ReadVector(&block->ground_truth,
-                         static_cast<std::size_t>(rows)));
-  if (!sections_ok || cursor.remaining() != 0) {
-    *error = path + (sections_ok ? ": trailing bytes after the shard payload"
-                                 : ": truncated shard payload");
-    *block = ShardStreamBlock();
-    return false;
   }
   block->shard = shard;
-  block->row_begin = h.row_begin;
-  block->row_end = h.row_end;
-  // The block's CSR memory is live from here on: count it before the
-  // structural sweep so the residency instrumentation never under-reports.
-  block->accounting_ = accounting_;
-  block->counted_bytes_ = block_csr_bytes(shard);
-  accounting_->Add(block->counted_bytes_);
-
-  // Structural validation — everything the SpMM/SpMV kernels rely on
-  // (the checksum above only proves the bytes match what was written).
-  auto fail = [&](const std::string& what) {
-    *error = path + ": " + what;
-    *block = ShardStreamBlock();
-    return false;
-  };
-  if (block->row_ptr.front() != 0 || block->row_ptr.back() != h.nnz) {
-    return fail("invalid shard row pointers");
-  }
-  const std::int64_t n = manifest.num_nodes;
-  const bool f32 = manifest.values_f32;
-  const auto value_at = [&](std::int64_t e) -> double {
-    return f32 ? static_cast<double>(block->values_f32[e])
-               : block->values[e];
-  };
-  for (std::int64_t r = 0; r < rows; ++r) {
-    if (block->row_ptr[r] > block->row_ptr[r + 1]) {
-      return fail("invalid shard row pointers");
-    }
-    for (std::int64_t e = block->row_ptr[r]; e < block->row_ptr[r + 1];
-         ++e) {
-      const std::int64_t c = block->col_idx[e];
-      if (c < 0 || c >= n || c == h.row_begin + r ||
-          !std::isfinite(value_at(e)) ||
-          (e > block->row_ptr[r] && block->col_idx[e - 1] >= c)) {
-        return fail(
-            "invalid shard payload (CSR structure, self-loop, or "
-            "non-finite weights)");
-      }
-    }
-  }
-  for (std::int64_t i = 0; i < h.num_explicit; ++i) {
-    const std::int64_t v = block->explicit_nodes[i];
-    if (v < h.row_begin || v >= h.row_end ||
-        (i > 0 && block->explicit_nodes[i - 1] >= v)) {
-      return fail("invalid explicit node list");
-    }
-    for (std::int64_t c = 0; c < k; ++c) {
-      if (!std::isfinite(block->explicit_rows[i * k + c])) {
-        return fail("non-finite explicit belief");
-      }
-    }
-  }
-  for (const std::int32_t cls : block->ground_truth) {
-    if (cls < -1 || cls >= k) {
-      return fail("ground-truth class out of range");
-    }
-  }
   // Count the completed read (cumulative totals are success-only, so
   // they sum consistently with the blocks actually handed out).
   const std::int64_t file_bytes = static_cast<std::int64_t>(bytes.size());

@@ -10,7 +10,8 @@
 // peak resident CSR at O(window * max shard) instead of O(nnz).
 //
 // Every ReadBlock re-validates its shard from the bytes on disk — the
-// header against the manifest entry, the FNV-1a payload checksum, local
+// header against the manifest entry, the FNV-1a payload checksum (hashed
+// alongside the decode when the caller has a second lane), local
 // row-pointer structure, column-id bounds and ordering, finite weights,
 // and the explicit-node slice — so corruption that appears mid-stream
 // (between sweeps of an iterative solve) surfaces as an error return on
@@ -35,6 +36,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "src/exec/exec_context.h"
 
 namespace linbp {
 namespace dataset {
@@ -159,9 +162,16 @@ class ShardStreamReader {
 
   /// Reads and fully validates shard `shard` into *block. Returns false
   /// and fills *error on I/O failure or any corruption; *block is left
-  /// empty then.
+  /// empty then. With more than one lane in `ctx`, the payload checksum
+  /// runs on one helper thread while this thread decodes and validates;
+  /// a serial `ctx` starts no thread. The checksum verdict is applied
+  /// first either way: a mismatch reads "checksum mismatch" and earns
+  /// the one re-read, and a decode error surfaces only for bytes whose
+  /// checksum matched.
   bool ReadBlock(std::int64_t shard, ShardStreamBlock* block,
-                 std::string* error) const;
+                 std::string* error,
+                 const exec::ExecContext& ctx =
+                     exec::ExecContext::Default()) const;
 
   /// CSR bytes of currently live blocks / their lifetime high-water
   /// mark. Blocks keep their count alive past the reader (shared

@@ -32,13 +32,13 @@ bool ShardStreamBackend::StreamBlocks(
   using Item = std::shared_ptr<const dataset::ShardStreamBlock>;
   return exec::RunDoubleBuffered<Item>(
       reader.num_shards(), overlap,
-      [&reader, cache](std::int64_t s, Item* item, std::string* err) {
+      [&reader, cache, &ctx](std::int64_t s, Item* item, std::string* err) {
         if (cache != nullptr) {
           *item = cache->Lookup(s);
           if (*item != nullptr) return true;
         }
         auto block = std::make_shared<dataset::ShardStreamBlock>();
-        if (!reader.ReadBlock(s, block.get(), err)) return false;
+        if (!reader.ReadBlock(s, block.get(), err, ctx)) return false;
         if (cache != nullptr) cache->Insert(s, block);
         *item = std::move(block);
         return true;

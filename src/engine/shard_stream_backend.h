@@ -6,7 +6,8 @@
 // applied — deserialized shard CSR against the full belief matrix, into
 // the block's disjoint output rows, parallelized over the ExecContext
 // within the block — block s+1 is read and checksum-verified on a
-// prefetch thread, so I/O overlaps compute and at most TWO blocks' CSR
+// prefetch thread (which hashes on one helper thread while it decodes),
+// so I/O overlaps compute and at most TWO blocks' CSR
 // bytes are resident at any instant (asserted by the reader's byte
 // accounting). The row-range kernels are the same SpmmRows / SpmvRows
 // the in-memory SparseMatrix kernels run, and per-row results do not
@@ -109,8 +110,8 @@ class ShardStreamBackend final : public PropagationBackend {
   // Streams every block once through the pipeline and hands it to
   // `apply` (called in shard order on the caller thread). Shared by the
   // products and the Open() derivation pass. Blocks come from the cache
-  // when one is configured and hot; misses read from disk and populate
-  // it.
+  // when one is configured and hot; misses read from disk on `ctx`'s
+  // lane count (ShardStreamReader::ReadBlock) and populate it.
   bool StreamBlocks(
       const exec::ExecContext& ctx,
       const std::function<void(const dataset::ShardStreamBlock&)>& apply,

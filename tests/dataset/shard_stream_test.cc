@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "src/dataset/registry.h"
 #include "src/dataset/shard.h"
+#include "src/exec/exec_context.h"
 #include "tests/testing/test_util.h"
 
 namespace linbp {
@@ -52,6 +53,69 @@ ShardStreamReader OpenReader(const std::string& manifest) {
   auto reader = ShardStreamReader::Open(manifest, &error);
   EXPECT_TRUE(reader.has_value()) << error;
   return std::move(*reader);
+}
+
+// FNV-1a, reimplemented so the corruption tests can forge checksum-valid
+// hostile bytes that only the structural decode can reject.
+std::uint64_t TestFnv1a(const char* data, std::size_t size) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= static_cast<unsigned char>(data[i]);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+void FixChecksum(std::vector<char>* bytes) {
+  const std::uint64_t checksum =
+      TestFnv1a(bytes->data() + 64, bytes->size() - 64);
+  std::memcpy(bytes->data() + 56, &checksum, 8);
+}
+
+// Byte offset of shard `index`'s manifest entry; v2 entries carry an
+// extra i64 payload_bytes before the checksum.
+std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
+                                std::int64_t index) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, manifest.data() + 8, 4);
+  std::int64_t k = 0;
+  std::memcpy(&k, manifest.data() + 24, 8);
+  std::size_t off = 64;
+  auto skip_string = [&] {
+    std::uint32_t length = 0;
+    std::memcpy(&length, manifest.data() + off, 4);
+    off += 4 + length;
+  };
+  skip_string();  // name
+  skip_string();  // spec
+  off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
+  for (std::int64_t s = 0; s < index; ++s) {
+    off += (version >= 2 ? 8 * 5 : 8 * 4) + 8;
+    skip_string();  // file name
+  }
+  return off;
+}
+
+// Returns manifest bytes whose shard `index` entry names `file`, with
+// the manifest checksum re-forged so only the file-name check can object.
+std::vector<char> WithShardFileName(const std::vector<char>& manifest,
+                                    std::int64_t index,
+                                    const std::string& file) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, manifest.data() + 8, 4);
+  const std::size_t name_at =
+      ManifestEntryOffset(manifest, index) + (version >= 2 ? 48 : 40);
+  std::uint32_t old_length = 0;
+  std::memcpy(&old_length, manifest.data() + name_at, 4);
+  std::vector<char> out(manifest.begin(), manifest.begin() + name_at);
+  const std::uint32_t length = static_cast<std::uint32_t>(file.size());
+  out.insert(out.end(), reinterpret_cast<const char*>(&length),
+             reinterpret_cast<const char*>(&length) + 4);
+  out.insert(out.end(), file.begin(), file.end());
+  out.insert(out.end(), manifest.begin() + name_at + 4 + old_length,
+             manifest.end());
+  FixChecksum(&out);
+  return out;
 }
 
 TEST(ShardStreamReaderTest, BlocksReassembleTheScenario) {
@@ -175,6 +239,13 @@ TEST(ShardStreamReaderTest, RejectsEveryCorruption) {
   EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 
+  // A directory where the shard should be: an error, not a huge resize.
+  std::filesystem::create_directory(shard1);
+  EXPECT_FALSE(reader.ReadBlock(1, &block, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  EXPECT_EQ(reader.resident_csr_bytes(), 0);
+  std::filesystem::remove(shard1);
+
   // Restored bytes read cleanly again (the reader holds no stale state).
   WriteBytes(shard1, pristine);
   EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
@@ -189,55 +260,39 @@ TEST(ShardStreamReaderTest, OpenValidatesTheManifest) {
       ShardStreamReader::Open("/nonexistent/manifest.lbpm", &error)
           .has_value());
 
-  std::vector<char> bytes = ReadBytes(manifest);
+  const std::string dir = std::filesystem::path(manifest).parent_path();
+  EXPECT_FALSE(ShardStreamReader::Open(dir, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+
+  const std::vector<char> pristine = ReadBytes(manifest);
+  std::vector<char> bytes = pristine;
   bytes[70] ^= 0x10;
   WriteBytes(manifest, bytes);
   EXPECT_FALSE(ShardStreamReader::Open(manifest, &error).has_value());
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+
+  // Shard file names must be one plain path component, even behind a
+  // re-forged manifest checksum: anything else could aim the reader at
+  // a directory, a FIFO, or a file outside the manifest's directory.
+  for (const std::string& file :
+       {std::string("."), std::string(".."), std::string("/etc/passwd"),
+        std::string("../") + ShardFileName(1), std::string("sub/shard"),
+        ShardFileName(1) + std::string("\0x", 2)}) {
+    WriteBytes(manifest, WithShardFileName(pristine, 1, file));
+    error.clear();
+    EXPECT_FALSE(ShardStreamReader::Open(manifest, &error).has_value())
+        << file;
+    EXPECT_NE(error.find("not a plain file name"), std::string::npos)
+        << file << " -> " << error;
+    EXPECT_FALSE(LoadShardedSnapshot(manifest, &error).has_value()) << file;
+  }
+  // The splice itself is sound: the writer's own name round-trips.
+  WriteBytes(manifest, WithShardFileName(pristine, 1, ShardFileName(1)));
+  EXPECT_TRUE(ShardStreamReader::Open(manifest, &error).has_value())
+      << error;
 }
 
 // ---- Compressed (v2) streams ---------------------------------------------
-
-// FNV-1a, reimplemented so the corruption tests can forge checksum-valid
-// hostile bytes that only the structural decode can reject.
-std::uint64_t TestFnv1a(const char* data, std::size_t size) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-void FixChecksum(std::vector<char>* bytes) {
-  const std::uint64_t checksum =
-      TestFnv1a(bytes->data() + 64, bytes->size() - 64);
-  std::memcpy(bytes->data() + 56, &checksum, 8);
-}
-
-// Byte offset of shard `index`'s manifest entry; v2 entries carry an
-// extra i64 payload_bytes before the checksum.
-std::size_t ManifestEntryOffset(const std::vector<char>& manifest,
-                                std::int64_t index) {
-  std::uint32_t version = 0;
-  std::memcpy(&version, manifest.data() + 8, 4);
-  std::int64_t k = 0;
-  std::memcpy(&k, manifest.data() + 24, 8);
-  std::size_t off = 64;
-  auto skip_string = [&] {
-    std::uint32_t length = 0;
-    std::memcpy(&length, manifest.data() + off, 4);
-    off += 4 + length;
-  };
-  skip_string();  // name
-  skip_string();  // spec
-  off += static_cast<std::size_t>(k * k) * 8;  // coupling residual
-  for (std::int64_t s = 0; s < index; ++s) {
-    off += (version >= 2 ? 8 * 5 : 8 * 4) + 8;
-    skip_string();  // file name
-  }
-  return off;
-}
 
 // Reads one LEB128 varint from pristine test bytes (trusted input).
 std::uint64_t ReadTestVarint(const std::vector<char>& bytes,
@@ -464,6 +519,134 @@ TEST(ShardStreamReaderTest, CompressedRejectsEveryColumnSectionCorruption) {
   ShardStreamBlock block;
   std::string error;
   EXPECT_TRUE(reader.ReadBlock(1, &block, &error)) << error;
+}
+
+// ---- Checksum verified alongside the decode --------------------------------
+
+// ReadBlock hashes on a helper thread when its context has a second lane;
+// every contract below must hold on both the serial and the 2-lane path.
+std::vector<std::pair<const char*, exec::ExecContext>> ReadContexts() {
+  return {{"serial", exec::ExecContext::Serial()},
+          {"2 lanes", exec::ExecContext::WithThreads(2)}};
+}
+
+TEST(ShardStreamVerifyTest, CorruptColumnSectionReportsTheChecksum) {
+  const Scenario scenario = TestScenario();
+  const std::string manifest =
+      ShardScenario(scenario, "verify_columns", ShardCompression::kF64);
+  const std::string shard1 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+  std::vector<char> bytes = ReadBytes(shard1);
+  // Six continuation bytes where row 0's count starts (byte 72, after
+  // the header and the u64 section size): undecodable, and no checksum
+  // is forged, so the checksum verdict must win over the decoder's.
+  for (int i = 0; i < 6; ++i) bytes[72 + i] = static_cast<char>(0x80);
+  WriteBytes(shard1, bytes);
+  for (const auto& [label, ctx] : ReadContexts()) {
+    const ShardStreamReader reader = OpenReader(manifest);
+    ShardStreamBlock block;
+    std::string error;
+    EXPECT_FALSE(reader.ReadBlock(1, &block, &error, ctx)) << label;
+    EXPECT_NE(error.find("checksum mismatch"), std::string::npos)
+        << label << " -> " << error;
+    EXPECT_EQ(error.find("varint"), std::string::npos)
+        << label << " -> " << error;
+    EXPECT_EQ(reader.checksum_retries_total(), 1) << label;
+    EXPECT_EQ(reader.resident_csr_bytes(), 0) << label;
+    EXPECT_EQ(reader.blocks_read_total(), 0) << label;
+    EXPECT_EQ(block.nnz(), 0) << label;
+  }
+}
+
+TEST(ShardStreamVerifyTest, DecodableValueFlipIsStillRejected) {
+  const Scenario scenario = TestScenario();
+  for (const ShardCompression compression :
+       {ShardCompression::kNone, ShardCompression::kF64,
+        ShardCompression::kF32}) {
+    const std::string manifest = ShardScenario(
+        scenario, "verify_values_" + std::to_string(static_cast<int>(
+                                         compression)),
+        compression);
+    const std::string shard1 =
+        std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+    std::vector<char> bytes = ReadBytes(shard1);
+    // The low mantissa bit of a stored weight: every section still
+    // decodes and validates, so only the checksum can catch it.
+    std::size_t value_at = 0;
+    if (compression == ShardCompression::kNone) {
+      std::int64_t rows = 0;
+      std::int64_t row_begin = 0;
+      std::memcpy(&row_begin, bytes.data() + 16, 8);
+      std::memcpy(&rows, bytes.data() + 24, 8);
+      rows -= row_begin;
+      std::int64_t nnz = 0;
+      std::memcpy(&nnz, bytes.data() + 32, 8);
+      value_at = 64 + static_cast<std::size_t>((rows + 1) * 8 + nnz * 4);
+    } else {
+      std::uint64_t encoded = 0;
+      std::memcpy(&encoded, bytes.data() + 64, 8);
+      value_at = 72 + static_cast<std::size_t>(encoded);
+    }
+    bytes[value_at] ^= 0x01;
+    WriteBytes(shard1, bytes);
+    for (const auto& [label, ctx] : ReadContexts()) {
+      const ShardStreamReader reader = OpenReader(manifest);
+      ShardStreamBlock block;
+      std::string error;
+      EXPECT_FALSE(reader.ReadBlock(1, &block, &error, ctx)) << label;
+      EXPECT_NE(error.find("checksum mismatch"), std::string::npos)
+          << label << " -> " << error;
+      EXPECT_EQ(reader.checksum_retries_total(), 1) << label;
+      EXPECT_EQ(reader.resident_csr_bytes(), 0) << label;
+      EXPECT_EQ(reader.blocks_read_total(), 0) << label;
+      EXPECT_TRUE(block.row_ptr.empty() && block.col_idx.empty() &&
+                  block.values.empty() && block.values_f32.empty())
+          << label;
+    }
+  }
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(ShardStreamVerifyTest, TwoLaneReadsMatchSerialReadsByteForByte) {
+  const Scenario scenario = TestScenario();
+  const exec::ExecContext serial = exec::ExecContext::Serial();
+  const exec::ExecContext lanes = exec::ExecContext::WithThreads(2);
+  for (const ShardCompression compression :
+       {ShardCompression::kNone, ShardCompression::kF64,
+        ShardCompression::kF32}) {
+    const std::string manifest = ShardScenario(
+        scenario, "verify_same_" + std::to_string(static_cast<int>(
+                                       compression)),
+        compression);
+    const ShardStreamReader reader = OpenReader(manifest);
+    ASSERT_TRUE(reader.has_ground_truth());
+    for (std::int64_t s = 0; s < reader.num_shards(); ++s) {
+      ShardStreamBlock a;
+      ShardStreamBlock b;
+      std::string error;
+      ASSERT_TRUE(reader.ReadBlock(s, &a, &error, serial)) << error;
+      ASSERT_TRUE(reader.ReadBlock(s, &b, &error, lanes)) << error;
+      EXPECT_EQ(a.shard, b.shard);
+      EXPECT_EQ(a.row_begin, b.row_begin);
+      EXPECT_EQ(a.row_end, b.row_end);
+      EXPECT_TRUE(SameBytes(a.row_ptr, b.row_ptr)) << s;
+      EXPECT_TRUE(SameBytes(a.col_idx, b.col_idx)) << s;
+      EXPECT_TRUE(SameBytes(a.values, b.values)) << s;
+      EXPECT_TRUE(SameBytes(a.values_f32, b.values_f32)) << s;
+      EXPECT_TRUE(SameBytes(a.explicit_nodes, b.explicit_nodes)) << s;
+      EXPECT_TRUE(SameBytes(a.explicit_rows, b.explicit_rows)) << s;
+      EXPECT_TRUE(SameBytes(a.ground_truth, b.ground_truth)) << s;
+      EXPECT_FALSE(a.ground_truth.empty());
+      EXPECT_EQ(a.resident_csr_bytes(), b.resident_csr_bytes());
+    }
+    EXPECT_EQ(reader.checksum_retries_total(), 0);
+  }
 }
 
 // ---- Decoded-block cache -------------------------------------------------

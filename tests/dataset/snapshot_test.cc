@@ -1,6 +1,9 @@
 #include "src/dataset/snapshot.h"
 
+#include <sys/stat.h>
+
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -149,6 +152,28 @@ TEST(SnapshotTest, RejectsMissingAndTruncatedFiles) {
   EXPECT_FALSE(LoadSnapshot(path, &error).has_value());
   // (either the checksum or the section reads catch it first)
   EXPECT_FALSE(error.empty());
+}
+
+// A directory reports a size near 2^63 to a stream and a FIFO blocks
+// the opener until a writer appears: both are refused before any read.
+TEST(SnapshotTest, RejectsPathsThatAreNotRegularFiles) {
+  const std::string dir = TempPath("snapshot_dir.lbps");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(dir, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(ReadSnapshotInfo(dir, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+
+  const std::string fifo = TempPath("snapshot_fifo.lbps");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  error.clear();
+  EXPECT_FALSE(LoadSnapshot(fifo, &error).has_value());
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+  std::filesystem::remove(fifo);
 }
 
 TEST(SnapshotTest, RejectsBadMagicVersionAndEndianness) {

@@ -1,6 +1,9 @@
 #include "tools/cli_lib.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -426,6 +429,34 @@ TEST(RunMainTest, StreamRejectsBadInputs) {
                     &error),
             1);
   EXPECT_NE(error.find("snap:path="), std::string::npos) << error;
+}
+
+// A directory or a FIFO passed as a snapshot is a clean error on every
+// entry point that reads one: never an abort, never a blocked open.
+TEST(RunMainTest, NonRegularSnapshotPathsFailCleanly) {
+  const std::string dir = TempPath("cli_dir_input");
+  std::filesystem::create_directories(dir);
+  const std::string fifo = TempPath("cli_fifo_input");
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {dir, fifo}) {
+    std::string output;
+    std::string error;
+    EXPECT_EQ(RunMain({"info", "--snapshot=" + path}, &output, &error), 1);
+    EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+    error.clear();
+    EXPECT_EQ(RunMain({"--scenario=snap:path=" + path, "--method=linbp"},
+                      &output, &error),
+              1);
+    EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+    error.clear();
+    EXPECT_EQ(RunMain({"--stream", "--scenario=snap:path=" + path,
+                       "--method=linbp"},
+                      &output, &error),
+              1);
+    EXPECT_FALSE(error.empty());
+  }
+  std::filesystem::remove(fifo);
 }
 
 TEST(RunMainTest, CompressedShardsStreamBitIdenticalLabels) {
