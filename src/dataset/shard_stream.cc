@@ -115,8 +115,16 @@ bool ValidateShardBlock(const std::string& path,
     *error = path + ": " + what;
     return false;
   };
+  // All row pointers first, in their own pass: with the two end checks,
+  // monotonicity bounds every one to [0, nnz] before the edge loop
+  // indexes col_idx/values by them (v1 copies them raw from the file).
   if (block.row_ptr.front() != 0 || block.row_ptr.back() != h.nnz) {
     return fail("invalid shard row pointers");
+  }
+  for (std::int64_t r = 0; r < rows; ++r) {
+    if (block.row_ptr[r] > block.row_ptr[r + 1]) {
+      return fail("invalid shard row pointers");
+    }
   }
   const std::int64_t n = manifest.num_nodes;
   const bool f32 = manifest.values_f32;
@@ -125,9 +133,6 @@ bool ValidateShardBlock(const std::string& path,
                : block.values[e];
   };
   for (std::int64_t r = 0; r < rows; ++r) {
-    if (block.row_ptr[r] > block.row_ptr[r + 1]) {
-      return fail("invalid shard row pointers");
-    }
     for (std::int64_t e = block.row_ptr[r]; e < block.row_ptr[r + 1];
          ++e) {
       const std::int64_t c = block.col_idx[e];

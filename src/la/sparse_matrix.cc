@@ -55,9 +55,9 @@ void SpmmRowsT(const std::int64_t* row_ptr, const std::int32_t* col_idx,
   // runtime): the acc[c] lanes are independent, so vectorizing across c
   // changes no accumulation order. gcc 12.2 -O3 -fopt-info-vec reports
   // "loop vectorized using 16 byte vectors" for both instantiations
-  // (verified 2026-08; rerun with
-  //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -c \
-  //     src/la/sparse_matrix.cc -I.
+  // (verified 2026-08; rerun the one-line command
+  //   g++ -std=c++17 -O3 -fopenmp-simd -fopt-info-vec -I. -c
+  //       src/la/sparse_matrix.cc
   // when touching this kernel).
   constexpr std::int64_t kColTile = 8;
   const Scalar* __restrict__ vals = values;

@@ -606,6 +606,79 @@ TEST(ShardStreamVerifyTest, DecodableValueFlipIsStillRejected) {
   }
 }
 
+TEST(ShardStreamVerifyTest, RowPointerPastNnzIsRejectedWithoutOverRead) {
+  const Scenario scenario = TestScenario();
+  const std::string manifest = ShardScenario(scenario, "verify_row_ptr");
+  const std::string shard1 =
+      std::filesystem::path(manifest).parent_path() / ShardFileName(1);
+  const std::vector<char> manifest_pristine = ReadBytes(manifest);
+  std::vector<char> bytes = ReadBytes(shard1);
+  std::int64_t row_begin = 0;
+  std::int64_t row_end = 0;
+  std::int64_t nnz = 0;
+  std::memcpy(&row_begin, bytes.data() + 16, 8);
+  std::memcpy(&row_end, bytes.data() + 24, 8);
+  std::memcpy(&nnz, bytes.data() + 32, 8);
+  const std::int64_t rows = row_end - row_begin;
+  ASSERT_GE(rows, 2);
+  // v1 payload: raw i64 row pointers, then i32 columns.
+  const std::size_t row_ptr_at = 64;
+  const std::size_t col_at = 64 + static_cast<std::size_t>((rows + 1) * 8);
+  const auto row_ptr_slot = [&](std::int64_t r) {
+    return bytes.data() + row_ptr_at + static_cast<std::size_t>(r * 8);
+  };
+  // Columns strictly increasing from row rows-2 through the last entry,
+  // skipping that row's own id, and its end pointer raised past nnz: an
+  // edge loop that trusted the pointer would walk off the arrays.
+  std::int64_t tail_begin = 0;
+  std::memcpy(&tail_begin, row_ptr_slot(rows - 2), 8);
+  std::int32_t col = 0;
+  for (std::int64_t e = tail_begin; e < nnz; ++e, ++col) {
+    if (col == row_begin + rows - 2) ++col;
+    std::memcpy(bytes.data() + col_at + static_cast<std::size_t>(e * 4), &col,
+                4);
+  }
+  ASSERT_LT(col, scenario.graph.num_nodes());
+  const std::int64_t past = nnz + (std::int64_t{1} << 20);
+  std::memcpy(row_ptr_slot(rows - 1), &past, 8);
+
+  // No checksum forged: the checksum verdict wins, one retry, no block.
+  WriteBytes(shard1, bytes);
+  for (const auto& [label, ctx] : ReadContexts()) {
+    const ShardStreamReader reader = OpenReader(manifest);
+    ShardStreamBlock block;
+    std::string error;
+    EXPECT_FALSE(reader.ReadBlock(1, &block, &error, ctx)) << label;
+    EXPECT_NE(error.find("checksum mismatch"), std::string::npos)
+        << label << " -> " << error;
+    EXPECT_EQ(reader.checksum_retries_total(), 1) << label;
+    EXPECT_EQ(reader.resident_csr_bytes(), 0) << label;
+    EXPECT_EQ(reader.blocks_read_total(), 0) << label;
+  }
+
+  // Checksums forged in the shard and its manifest entry (a v1 entry's
+  // checksum follows its four i64 counts): the structural check alone
+  // rejects the pointer.
+  FixChecksum(&bytes);
+  std::uint64_t forged = 0;
+  std::memcpy(&forged, bytes.data() + 56, 8);
+  WriteBytes(shard1, bytes);
+  std::vector<char> man = manifest_pristine;
+  std::memcpy(man.data() + ManifestEntryOffset(man, 1) + 32, &forged, 8);
+  FixChecksum(&man);
+  WriteBytes(manifest, man);
+  for (const auto& [label, ctx] : ReadContexts()) {
+    const ShardStreamReader reader = OpenReader(manifest);
+    ShardStreamBlock block;
+    std::string error;
+    EXPECT_FALSE(reader.ReadBlock(1, &block, &error, ctx)) << label;
+    EXPECT_NE(error.find("invalid shard row pointers"), std::string::npos)
+        << label << " -> " << error;
+    EXPECT_EQ(reader.checksum_retries_total(), 0) << label;
+    EXPECT_EQ(reader.resident_csr_bytes(), 0) << label;
+  }
+}
+
 template <typename T>
 bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
